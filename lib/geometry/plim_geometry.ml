@@ -12,6 +12,7 @@
 
 module Program = Plim_isa.Program
 module Instruction = Plim_isa.Instruction
+module Lazy_heap = Plim_util.Lazy_heap
 
 type grid = { rows : int; cols : int }
 
@@ -110,40 +111,57 @@ let schedule g (p : Program.t) =
       last_write.(z) <- i;
       readers_since.(z) <- []
     done;
-    (* list scheduling; [ready] kept sorted ascending for determinism *)
-    let rec insert x = function
-      | [] -> [ x ]
-      | y :: tl when y < x -> y :: insert x tl
-      | l -> x :: l
+    (* list scheduling: the smallest ready instruction picks the group,
+       which is every ready instruction confined to its row.  Ready
+       instructions sit in a min-heap by index; those with a home row
+       also sit in that row's bucket, so a group is one bucket. *)
+    let home =
+      Array.init n (fun i -> Option.value ~default:(-1) (home_row g (instr i)))
     in
-    let ready = ref [] in
-    for i = n - 1 downto 0 do
-      if indeg.(i) = 0 then ready := i :: !ready
+    let rows_used = (Program.num_cells p + g.cols - 1) / g.cols in
+    let buckets = Array.make (max 1 rows_used) [] in
+    let heap = Lazy_heap.create ~capacity:n in
+    let make_ready i =
+      Lazy_heap.insert heap (i, 0, 0) i;
+      if home.(i) >= 0 then buckets.(home.(i)) <- i :: buckets.(home.(i))
+    in
+    for i = 0 to n - 1 do
+      if indeg.(i) = 0 then make_ready i
     done;
     let groups = ref [] in
     let cross_row = ref 0 in
     let scheduled = ref 0 in
-    while !ready <> [] do
-      let first = List.hd !ready in
-      let group, rest =
-        match home_row g (instr first) with
-        | None ->
-          incr cross_row;
-          ([ first ], List.tl !ready)
-        | Some r -> List.partition (fun i -> in_row g r (instr i)) !ready
-      in
-      ready := rest;
-      List.iter
-        (fun u ->
-          List.iter
-            (fun v ->
-              indeg.(v) <- indeg.(v) - 1;
-              if indeg.(v) = 0 then ready := insert v !ready)
-            succs.(u))
-        group;
-      groups := Array.of_list group :: !groups;
-      scheduled := !scheduled + List.length group
-    done;
+    let rec drain () =
+      match Lazy_heap.pop_min heap with
+      | None -> ()
+      | Some (_, first) ->
+        let group =
+          if home.(first) < 0 then begin
+            incr cross_row;
+            [| first |]
+          end
+          else begin
+            let r = home.(first) in
+            let members = Array.of_list buckets.(r) in
+            buckets.(r) <- [];
+            Array.sort Int.compare members;
+            Array.iter (Lazy_heap.remove heap) members;
+            members
+          end
+        in
+        Array.iter
+          (fun u ->
+            List.iter
+              (fun v ->
+                indeg.(v) <- indeg.(v) - 1;
+                if indeg.(v) = 0 then make_ready v)
+              succs.(u))
+          group;
+        groups := group :: !groups;
+        scheduled := !scheduled + Array.length group;
+        drain ()
+    in
+    drain ();
     (* all hazard edges point forward in the flat stream, so the DAG is
        acyclic and list scheduling always drains it *)
     assert (!scheduled = n);

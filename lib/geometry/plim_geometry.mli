@@ -73,7 +73,14 @@ val schedule : grid -> Plim_isa.Program.t -> (schedule, string) result
     DAG.  Deterministic: ready instructions are considered in ascending
     index order, so the same program and grid always produce the same
     schedule.  [Error] if the program's [num_cells] exceeds the grid
-    area. *)
+    area.
+
+    The smallest ready instruction picks each group: alone if its cells
+    span rows, else with every ready instruction confined to its row.
+    Each instruction's home row is computed once, ready instructions
+    wait in per-row buckets, and a lazy-deletion min-heap finds the
+    smallest, so scheduling [n] instructions with [e] hazard edges
+    costs O(e + n log n). *)
 
 val of_groups : grid -> Plim_isa.Program.t -> int array array -> schedule
 (** Wrap an {e arbitrary} grouping claim as a schedule, {b without any

@@ -49,7 +49,8 @@ let of_string text =
       else
         match tokens line with
         | ".model" :: _ -> ()
-        | ".inputs" :: names -> inputs := !inputs @ names
+        | ".inputs" :: names ->
+          inputs := !inputs @ List.map (fun name -> (lineno, name)) names
         | ".outputs" :: names -> outputs := !outputs @ names
         | ".names" :: signals ->
           finish ();
@@ -88,7 +89,12 @@ let of_string text =
   (* build the MIG: inputs first, then covers in topological order *)
   let g = Mig.create () in
   let env : (string, Mig.signal) Hashtbl.t = Hashtbl.create 64 in
-  List.iter (fun name -> Hashtbl.replace env name (Mig.add_input g name)) !inputs;
+  List.iter
+    (fun (lineno, name) ->
+      if Mig.has_input g name then
+        fail lineno (Printf.sprintf "duplicate input %S" name);
+      Hashtbl.replace env name (Mig.add_input g name))
+    !inputs;
   let by_output = Hashtbl.create 64 in
   List.iter (fun c -> Hashtbl.replace by_output c.gate_output c) covers;
   let visiting = Hashtbl.create 16 in

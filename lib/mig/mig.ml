@@ -14,13 +14,28 @@ let tag_const = 0
 let tag_input = 1
 let tag_maj = 2
 
+(* Structural hash table over sorted child triples.  It is only ever
+   probed, never iterated, so its bucket order cannot reach any output. *)
+module Strash = Hashtbl.Make (struct
+  type t = int * int * int
+
+  let equal ((a : int), (b : int), (c : int)) (a', b', c') =
+    a = a' && b = b' && c = c'
+
+  let hash ((a : int), b, c) =
+    let h = (a * 0x9E3779B1) + b in
+    let h = (h * 0x85EBCA77) + c in
+    (h lxor (h lsr 29)) land max_int
+end)
+
 type t = {
   tag : int Vec.t;
   c0 : int Vec.t; (* maj: child signal / input: PI index *)
   c1 : int Vec.t;
   c2 : int Vec.t;
-  strash : (int * int * int, int) Hashtbl.t;
+  strash : int Strash.t;
   input_names : string Vec.t;
+  input_index : (string, int) Hashtbl.t; (* name -> PI index; never iterated *)
   input_nodes : int Vec.t;       (* PI index -> node id *)
   outs : (string * signal) Vec.t;
 }
@@ -49,8 +64,9 @@ let create () =
       c0 = Vec.create ~dummy:0 ();
       c1 = Vec.create ~dummy:0 ();
       c2 = Vec.create ~dummy:0 ();
-      strash = Hashtbl.create 1024;
+      strash = Strash.create 1024;
       input_names = Vec.create ~dummy:"" ();
+      input_index = Hashtbl.create 64;
       input_nodes = Vec.create ~dummy:0 ();
       outs = Vec.create ~dummy:("", 0) () }
   in
@@ -68,10 +84,13 @@ let new_node g tag c0 c1 c2 =
   ignore (Vec.push g.c2 c2);
   id
 
+let has_input g name = Hashtbl.mem g.input_index name
+
 let add_input g name =
-  if Vec.exists (String.equal name) g.input_names then
+  if has_input g name then
     invalid_arg (Printf.sprintf "Mig.add_input: duplicate input %S" name);
   let pi = Vec.push g.input_names name in
+  Hashtbl.add g.input_index name pi;
   let id = new_node g tag_input pi 0 0 in
   ignore (Vec.push g.input_nodes id);
   signal id false
@@ -95,11 +114,11 @@ let maj g a b c =
   match reduce a b c with
   | Some s -> s
   | None ->
-    (match Hashtbl.find_opt g.strash (a, b, c) with
+    (match Strash.find_opt g.strash (a, b, c) with
     | Some id -> signal id false
     | None ->
       let id = new_node g tag_maj a b c in
-      Hashtbl.add g.strash (a, b, c) id;
+      Strash.add g.strash (a, b, c) id;
       signal id false)
 
 let lookup g a b c =
@@ -107,7 +126,7 @@ let lookup g a b c =
   match reduce a b c with
   | Some s -> Some s
   | None ->
-    (match Hashtbl.find_opt g.strash (a, b, c) with
+    (match Strash.find_opt g.strash (a, b, c) with
     | Some id -> Some (signal id false)
     | None -> None)
 
@@ -134,6 +153,26 @@ let input_name g pi = Vec.get g.input_names pi
 let input_signal g pi = signal (Vec.get g.input_nodes pi) false
 let outputs g = Vec.to_array g.outs
 let input_names g = Vec.to_array g.input_names
+
+let vec_equal eq a b =
+  let n = Vec.length a in
+  n = Vec.length b
+  &&
+  let rec go i = i >= n || (eq (Vec.get a i) (Vec.get b i) && go (i + 1)) in
+  go 0
+
+(* The strash and the name index are functions of these vectors, so they
+   need no comparison of their own. *)
+let equal g g' =
+  let int_eq (x : int) y = x = y in
+  vec_equal int_eq g.tag g'.tag
+  && vec_equal int_eq g.c0 g'.c0
+  && vec_equal int_eq g.c1 g'.c1
+  && vec_equal int_eq g.c2 g'.c2
+  && vec_equal String.equal g.input_names g'.input_names
+  && vec_equal
+       (fun (n, (s : signal)) (n', s') -> s = s' && String.equal n n')
+       g.outs g'.outs
 
 let reachable g =
   let n = num_nodes g in

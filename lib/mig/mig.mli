@@ -43,7 +43,12 @@ val pp_signal : Format.formatter -> signal -> unit
 val create : unit -> t
 
 val add_input : t -> string -> signal
-(** Declares a fresh primary input.  Names must be unique. *)
+(** Declares a fresh primary input.
+    @raise Invalid_argument if [name] is already an input; parsers check
+    {!has_input} first to report the duplicate themselves. *)
+
+val has_input : t -> string -> bool
+(** Whether an input of this name exists, in O(1). *)
 
 val maj : t -> signal -> signal -> signal -> signal
 (** Hash-consed majority with Ω.M simplification. *)
@@ -74,6 +79,10 @@ val input_name : t -> int -> string
 val input_signal : t -> int -> signal
 val outputs : t -> (string * signal) array
 val input_names : t -> string array
+
+val equal : t -> t -> bool
+(** Structural equality: the same nodes (dead ones included) with the
+    same ids and children, the same input names and the same outputs. *)
 
 val size : t -> int
 (** Number of majority nodes reachable from the outputs (the paper's node

@@ -62,6 +62,8 @@ let of_string text =
         match String.split_on_char ' ' line |> List.filter (fun s -> s <> "") with
         | [ ".input"; id; name ] ->
           let id = try int_of_string id with Failure _ -> fail !lineno "bad input id" in
+          if Mig.has_input g name then
+            fail !lineno (Printf.sprintf "duplicate input %S" name);
           Hashtbl.replace map id (Mig.add_input g name)
         | [ ".node"; id; a; b; c ] ->
           let id = try int_of_string id with Failure _ -> fail !lineno "bad node id" in

@@ -73,12 +73,21 @@ let algorithm2_cycle g =
   let g = run_pass ~name:"D(R->L)" g [ Axioms.distributivity_rl ] in
   run_pass ~name:"I(R->L)" g [ Axioms.inverter_propagation ]
 
+let cycle = function
+  | No_rewriting -> Fun.id
+  | Algorithm1 -> algorithm1_cycle
+  | Algorithm2 -> algorithm2_cycle
+
+(* A cycle is a deterministic function of the graph's vectors, so once
+   one returns a graph [Mig.equal] to its input every later cycle would
+   too: stopping there gives the same graph as running all [effort]. *)
 let cycles f ~effort g =
   let rec go n g =
     if n <= 0 then g
     else begin
       Metrics.incr m_cycles;
-      go (n - 1) (f g)
+      let g' = f g in
+      if Mig.equal g' g then g' else go (n - 1) g'
     end
   in
   Mig.cleanup (go (max 0 effort) g)

@@ -22,10 +22,22 @@ type recipe = No_rewriting | Algorithm1 | Algorithm2
 val pp_recipe : Format.formatter -> recipe -> unit
 val recipe_name : recipe -> string
 
+val cycle : recipe -> Mig.t -> Mig.t
+(** One cycle of the recipe's passes, without the final cleanup.  The
+    cycle of [No_rewriting] is the identity. *)
+
 val run : recipe -> effort:int -> Mig.t -> Mig.t
 (** [run recipe ~effort g] applies [effort] cycles of the recipe
     (the paper uses effort = 5) and returns a cleaned-up graph.
-    [No_rewriting] returns a cleanup copy (the naive flow). *)
+    [No_rewriting] returns a cleanup copy (the naive flow).
+
+    The loop stops early after the first cycle whose result is
+    {!Mig.equal} to its input.  That is exact: a cycle is a deterministic
+    function of the graph's node vectors, inputs and outputs, so a graph
+    it maps to itself is a fixpoint of every later cycle too, and the
+    result is the graph [effort] cycles would give.  The
+    [rewrite.cycles] counter counts the cycles actually run (at most
+    [effort]). *)
 
 val algorithm1 : effort:int -> Mig.t -> Mig.t
 val algorithm2 : effort:int -> Mig.t -> Mig.t

@@ -161,6 +161,101 @@ let test_schedule_deterministic () =
   let s1 = ok_exn (G.schedule grid p) and s2 = ok_exn (G.schedule grid p) in
   Alcotest.(check bool) "same groups" true (s1.G.s_groups = s2.G.s_groups)
 
+(* --- reference scheduler ------------------------------------------------ *)
+
+(* The original O(n^2) list scheduler, kept as the oracle for the
+   bucketed one in the library: the ready list stays sorted, the
+   smallest ready instruction picks the group, and the group is a
+   partition of the whole ready list by row. *)
+let reference_schedule grid (p : Program.t) =
+  let n = Array.length p.Program.instrs in
+  let instr i = p.Program.instrs.(i) in
+  let touched (i : I.t) =
+    i.I.z
+    :: List.filter_map
+         (function I.Const _ -> None | I.Cell c -> Some c)
+         [ i.I.a; i.I.b ]
+  in
+  let in_row r i = List.for_all (fun c -> G.row_of grid c = r) (touched i) in
+  let home_row i =
+    let r = G.row_of grid (List.hd (touched i)) in
+    if in_row r i then Some r else None
+  in
+  let succs = Array.make n [] and indeg = Array.make n 0 in
+  let add_edge u v =
+    if u <> v then begin
+      succs.(u) <- v :: succs.(u);
+      indeg.(v) <- indeg.(v) + 1
+    end
+  in
+  let last_write = Array.make (Program.num_cells p) (-1) in
+  let readers_since = Array.make (Program.num_cells p) [] in
+  for i = 0 to n - 1 do
+    List.iter
+      (fun c ->
+        if last_write.(c) >= 0 then add_edge last_write.(c) i;
+        readers_since.(c) <- i :: readers_since.(c))
+      (touched (instr i));
+    let z = (instr i).I.z in
+    List.iter (fun r -> add_edge r i) readers_since.(z);
+    last_write.(z) <- i;
+    readers_since.(z) <- []
+  done;
+  let rec insert x = function
+    | [] -> [ x ]
+    | y :: tl when y < x -> y :: insert x tl
+    | l -> x :: l
+  in
+  let ready = ref (List.filter (fun i -> indeg.(i) = 0) (List.init n Fun.id)) in
+  let groups = ref [] and cross_row = ref 0 in
+  while !ready <> [] do
+    let first = List.hd !ready in
+    let group, rest =
+      match home_row (instr first) with
+      | None ->
+        incr cross_row;
+        ([ first ], List.tl !ready)
+      | Some r -> List.partition (fun i -> in_row r (instr i)) !ready
+    in
+    ready := rest;
+    List.iter
+      (fun u ->
+        List.iter
+          (fun v ->
+            indeg.(v) <- indeg.(v) - 1;
+            if indeg.(v) = 0 then ready := insert v !ready)
+          succs.(u))
+      group;
+    groups := Array.of_list group :: !groups
+  done;
+  (Array.of_list (List.rev !groups), !cross_row)
+
+(* [None] when the library's schedule equals the reference's. *)
+let oracle_mismatch grid p =
+  match G.schedule grid p with
+  | Error e -> Some ("schedule: " ^ e)
+  | Ok s ->
+    let groups, cross_row = reference_schedule grid p in
+    if s.G.s_groups <> groups then Some "groups differ"
+    else if s.G.s_cross_row <> cross_row then
+      Some (Printf.sprintf "cross-row %d, reference %d" s.G.s_cross_row cross_row)
+    else None
+
+let test_oracle_suite () =
+  List.iter
+    (fun spec ->
+      let p =
+        (Pipeline.compile Pipeline.endurance_full (Suite.build_cached spec)).Pipeline.program
+      in
+      List.iter
+        (fun cols ->
+          let grid = G.grid_for ~cols ~num_cells:(Program.num_cells p) in
+          match oracle_mismatch grid p with
+          | None -> ()
+          | Some e -> Alcotest.failf "%s@%s: %s" spec.Suite.name (G.to_string grid) e)
+        [ 1; 2; 4; 16; 64 ])
+    Suite.small_suite
+
 (* --- grouped execution vs the flat controller --------------------------- *)
 
 let random_inputs rng p =
@@ -290,6 +385,29 @@ let prop_grouped_matches_flat =
       | Ok (grouped, _, gstats) ->
         flat = grouped && fstats.Controller.cycles = gstats.Controller.g_cycles)
 
+(* random MIGs through the compiler: realistic programs whose rows mix
+   in-row and cross-row instructions *)
+let prop_oracle_compiled =
+  QCheck.Test.make ~count:100 ~name:"schedule = reference scheduler on compiled random MIGs"
+    QCheck.(pair (Plim_check.Gen.arbitrary ()) (int_range 1 16))
+    (fun (d, cols) ->
+      let p =
+        (Pipeline.compile Pipeline.endurance_full (Plim_check.Gen.to_mig d)).Pipeline.program
+      in
+      let grid = G.grid_for ~cols ~num_cells:(Program.num_cells p) in
+      match oracle_mismatch grid p with
+      | None -> true
+      | Some e -> QCheck.Test.fail_reportf "%s: %s" (G.to_string grid) e)
+
+let prop_oracle_random =
+  QCheck.Test.make ~count:300 ~name:"schedule = reference scheduler on random programs"
+    QCheck.(pair program_arb (int_range 1 10))
+    (fun (p, cols) ->
+      let grid = G.grid_for ~cols ~num_cells:(Program.num_cells p) in
+      match oracle_mismatch grid p with
+      | None -> true
+      | Some e -> QCheck.Test.fail_reportf "%s: %s" (G.to_string grid) e)
+
 let qc = QCheck_alcotest.to_alcotest
 
 let () =
@@ -309,7 +427,9 @@ let () =
           Alcotest.test_case "hazards serialize" `Quick test_hazard_serializes;
           Alcotest.test_case "suite invariants across grids" `Quick
             test_suite_invariants;
-          Alcotest.test_case "deterministic" `Quick test_schedule_deterministic ]
+          Alcotest.test_case "deterministic" `Quick test_schedule_deterministic;
+          Alcotest.test_case "matches the reference scheduler (suite)" `Quick
+            test_oracle_suite ]
       );
       ( "execution",
         [ Alcotest.test_case "grouped run = flat run (suite)" `Quick
@@ -322,4 +442,5 @@ let () =
           Alcotest.test_case "campaign rejects non-fitting grid" `Quick
             test_campaign_rejects_overflow ] );
       ( "properties",
-        [ qc prop_schedule_valid; qc prop_grouped_matches_flat ] ) ]
+        [ qc prop_schedule_valid; qc prop_grouped_matches_flat; qc prop_oracle_compiled;
+          qc prop_oracle_random ] ) ]

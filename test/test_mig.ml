@@ -73,6 +73,35 @@ let test_duplicate_input () =
   Alcotest.check_raises "dup" (Invalid_argument "Mig.add_input: duplicate input \"a\"")
     (fun () -> ignore (Mig.add_input g "a"))
 
+let test_has_input () =
+  let g, _, _, _ = fresh3 () in
+  check_bool "declared name" true (Mig.has_input g "b");
+  check_bool "unknown name" false (Mig.has_input g "d");
+  check_bool "index survives a rebuild" true (Mig.has_input (Mig.cleanup g) "c")
+
+let test_equal () =
+  let build ?(out = "y") ?(second = "b") () =
+    let g = Mig.create () in
+    let a = Mig.add_input g "a" in
+    let b = Mig.add_input g second in
+    let n = Mig.maj g a (Mig.not_ b) Mig.true_ in
+    Mig.add_output g out n;
+    (g, a, b)
+  in
+  let g, _, _ = build () in
+  check_bool "reflexive" true (Mig.equal g g);
+  check_bool "same construction" true (Mig.equal g (let g', _, _ = build () in g'));
+  check_bool "cleanup of a clean graph" true (Mig.equal g (Mig.cleanup g));
+  check_bool "input name differs" false (Mig.equal g (let g', _, _ = build ~second:"c" () in g'));
+  check_bool "output name differs" false (Mig.equal g (let g', _, _ = build ~out:"z" () in g'));
+  let g', a, b = build () in
+  ignore (Mig.maj g' a b Mig.false_);
+  check_bool "dead node counts" false (Mig.equal g g');
+  check_bool "dead node dropped by cleanup" true (Mig.equal g (Mig.cleanup g'));
+  let g', a, _ = build () in
+  Mig.add_output g' "w" a;
+  check_bool "extra output" false (Mig.equal g g')
+
 (* --- inspection -------------------------------------------------------- *)
 
 let test_levels_depth () =
@@ -176,7 +205,10 @@ let test_io_errors () =
       ignore (Mig_io.of_string ".node 1 2 3 4"));
   Alcotest.check_raises "unknown operand"
     (Failure "Mig_io.of_string: line 2: operand references unknown node 9") (fun () ->
-      ignore (Mig_io.of_string "mig\n.node 4 9 9 9"))
+      ignore (Mig_io.of_string "mig\n.node 4 9 9 9"));
+  Alcotest.check_raises "duplicate input"
+    (Failure "Mig_io.of_string: line 4: duplicate input \"a\"") (fun () ->
+      ignore (Mig_io.of_string "mig\n.input 1 a\n.input 2 b\n.input 3 a\n.output y 1"))
 
 let contains haystack needle =
   let nh = String.length haystack and nn = String.length needle in
@@ -241,7 +273,15 @@ let test_blif_errors () =
      with Failure _ -> true);
   check_bool "undriven output rejected" true
     (try ignore (Blif.of_string ".model x\n.inputs a\n.outputs y\n.end\n"); false
-     with Failure _ -> true)
+     with Failure _ -> true);
+  Alcotest.check_raises "duplicate input on one line"
+    (Failure "Blif: line 2: duplicate input \"a\"") (fun () ->
+      ignore (Blif.of_string ".model x\n.inputs a b a\n.outputs y\n.names a b y\n11 1\n.end\n"));
+  Alcotest.check_raises "duplicate input across lines"
+    (Failure "Blif: line 4: duplicate input \"b\"") (fun () ->
+      ignore
+        (Blif.of_string
+           ".model x\n.inputs a \\\n b\n.inputs b\n.outputs y\n.names a b y\n11 1\n.end\n"))
 
 let blif_roundtrip =
   QCheck.Test.make ~count:40 ~name:"blif write/read roundtrip preserves function"
@@ -288,7 +328,9 @@ let () =
           Alcotest.test_case "structural hashing" `Quick test_strash;
           Alcotest.test_case "lookup" `Quick test_lookup;
           Alcotest.test_case "derived gates" `Quick test_gate_semantics;
-          Alcotest.test_case "duplicate input" `Quick test_duplicate_input ] );
+          Alcotest.test_case "duplicate input" `Quick test_duplicate_input;
+          Alcotest.test_case "input index" `Quick test_has_input;
+          Alcotest.test_case "structural equality" `Quick test_equal ] );
       ( "inspection",
         [ Alcotest.test_case "levels/depth" `Quick test_levels_depth;
           Alcotest.test_case "fanouts/reachability" `Quick test_fanouts_reachability;

@@ -3,6 +3,10 @@ module Mig_gen = Plim_mig.Mig_gen
 module Tt = Plim_logic.Truth_table
 module Axioms = Plim_rewrite.Axioms
 module Recipe = Plim_rewrite.Recipe
+module Mig_io = Plim_mig.Mig_io
+module Suite = Plim_benchgen.Suite
+module Gen = Plim_check.Gen
+module Corpus = Plim_check.Corpus
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -170,6 +174,99 @@ let test_reduction_on_adder () =
   check_bool "alg1 equivalent" true (functionally_equal g g1);
   check_bool "alg2 equivalent" true (functionally_equal g g2)
 
+(* --- fixpoint exit -------------------------------------------------------- *)
+
+let fixpoint_recipes = [ Recipe.Algorithm1; Recipe.Algorithm2 ]
+let max_effort = 6
+
+(* Reference loop: always runs every cycle.  Element [e - 1] is the
+   cleaned-up graph after [e] cycles, for e = 1..max_effort. *)
+let reference_runs recipe g =
+  let rec go e g acc =
+    if e > max_effort then List.rev acc
+    else
+      let g = Recipe.cycle recipe g in
+      go (e + 1) g (Mig.cleanup g :: acc)
+  in
+  go 1 g []
+
+(* [Recipe.run] stops at the first cycle that changes nothing; it must
+   return exactly what running all [effort] cycles returns. *)
+let fixpoint_mismatch g =
+  List.find_map
+    (fun recipe ->
+      List.find_map
+        (fun (effort, expected) ->
+          if Mig.equal (Recipe.run recipe ~effort g) expected then None
+          else Some (Printf.sprintf "%s at effort %d" (Recipe.recipe_name recipe) effort))
+        (List.mapi (fun i r -> (i + 1, r)) (reference_runs recipe g)))
+    fixpoint_recipes
+
+let check_fixpoint_exit name g =
+  match fixpoint_mismatch g with
+  | None -> ()
+  | Some where -> Alcotest.failf "%s: early exit differs from the full loop (%s)" name where
+
+let test_fixpoint_exit_suite () =
+  List.iter
+    (fun spec -> check_fixpoint_exit spec.Suite.name (Suite.build_cached spec))
+    Suite.small_suite
+
+let test_fixpoint_exit_corpus () =
+  let entries = Corpus.entries "corpus" in
+  check_bool "corpus found" true (entries <> []);
+  List.iter (fun (file, g) -> check_fixpoint_exit file g) entries
+
+let fixpoint_exit_random =
+  QCheck.Test.make ~count:100 ~name:"early exit = full loop on random MIGs"
+    (Gen.arbitrary ()) (fun d ->
+      match fixpoint_mismatch (Gen.to_mig d) with
+      | None -> true
+      | Some where -> QCheck.Test.fail_reportf "differs: %s" where)
+
+(* --- cross-commit pin ---------------------------------------------------- *)
+
+(* Digests of the text form of [Recipe.run ~effort:5] on the suite
+   circuits the benchmark compiles, recorded before the rewriter's fast
+   path (fixpoint exit, monomorphic strash, input index) went in.  Any
+   change to these graphs changes every downstream cost row. *)
+let pinned_digests =
+  [
+    ("voter", "alg1", "01c2e58dbb77b12084ebc7fb0dd49ebc");
+    ("voter", "alg2", "59c9a3d8ac0330f34e5f564c0ae9c26a");
+    ("adder", "alg1", "c894d01d19d2a8073c264f1240b371f4");
+    ("adder", "alg2", "0f3241424125d47bd66ae78891b80b72");
+    ("bar", "alg1", "5b2d828be26fcd01d426d58e85959022");
+    ("bar", "alg2", "206f13d760a7afea30293beae2c0e4d5");
+    ("max", "alg1", "f4c7f40df8daf3314be749e28024c3ba");
+    ("max", "alg2", "414ee993f306d21fd15bb48b632b6917");
+    ("cavlc", "alg1", "ecf74ea597b918d2f68ac2fb8df0df6c");
+    ("cavlc", "alg2", "51b50b260f8e51ec3f77ce3192236d55");
+    ("ctrl", "alg1", "8926167d36813d236f1a68435e5843cf");
+    ("ctrl", "alg2", "200a0f2e69e393c82260a65792c56fd7");
+    ("dec", "alg1", "354c11f094e5108941688720a2a27f8f");
+    ("dec", "alg2", "354c11f094e5108941688720a2a27f8f");
+    ("i2c", "alg1", "bab126fd23525fc4c5db8a5f20af757f");
+    ("i2c", "alg2", "67e9e914b9e2016275b7b182b7f6afd3");
+    ("int2float", "alg1", "32792a4f9ac9c0ea77d95d446d3fa935");
+    ("int2float", "alg2", "808d013e9ab01463b97e5aade4b9d249");
+    ("priority", "alg1", "4c2277709b0f77b55ddbd3c3bec3d685");
+    ("priority", "alg2", "d564a483d62e9b6766b03b905cc6ba1e");
+    ("router", "alg1", "7c9f73746cc5878efc417ba41c6fa303");
+    ("router", "alg2", "7e09613fb4f3e8b4dab90a8efd4a6cf8")
+  ]
+
+let test_pinned_digests () =
+  List.iter
+    (fun (name, recipe_label, expected) ->
+      let recipe = if recipe_label = "alg1" then Recipe.Algorithm1 else Recipe.Algorithm2 in
+      let g = Recipe.run recipe ~effort:5 (Suite.build_cached (Suite.find name)) in
+      Alcotest.(check string)
+        (Printf.sprintf "%s %s" name recipe_label)
+        expected
+        (Digest.to_hex (Digest.string (Mig_io.to_string g))))
+    pinned_digests
+
 let qc = QCheck_alcotest.to_alcotest
 
 let () =
@@ -194,4 +291,9 @@ let () =
           Alcotest.test_case "recipe names" `Quick test_recipe_names;
           Alcotest.test_case "formal equivalence, 32-bit adder" `Quick
             test_formal_equivalence_wide;
-          Alcotest.test_case "reduces adder (AIG form)" `Quick test_reduction_on_adder ] ) ]
+          Alcotest.test_case "reduces adder (AIG form)" `Quick test_reduction_on_adder ] );
+      ( "fixpoint exit",
+        [ Alcotest.test_case "small suite, effort 1..6" `Quick test_fixpoint_exit_suite;
+          Alcotest.test_case "corpus, effort 1..6" `Quick test_fixpoint_exit_corpus;
+          qc fixpoint_exit_random;
+          Alcotest.test_case "pinned effort-5 digests" `Quick test_pinned_digests ] ) ]
