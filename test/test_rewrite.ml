@@ -292,7 +292,7 @@ let () =
           Alcotest.test_case "formal equivalence, 32-bit adder" `Quick
             test_formal_equivalence_wide;
           Alcotest.test_case "reduces adder (AIG form)" `Quick test_reduction_on_adder ] );
-      ( "fixpoint exit",
+      ( "fixpoint",
         [ Alcotest.test_case "small suite, effort 1..6" `Quick test_fixpoint_exit_suite;
           Alcotest.test_case "corpus, effort 1..6" `Quick test_fixpoint_exit_corpus;
           qc fixpoint_exit_random;
