@@ -68,7 +68,7 @@ let () =
       (match !json_out with
       | Some path ->
         let oc = open_out path in
-        output_string oc (Report.to_json c);
+        output_string oc (Plim_util.Json.to_string (Report.to_json c));
         output_char oc '\n';
         close_out oc;
         Printf.eprintf "wrote %s\n%!" path

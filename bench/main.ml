@@ -30,6 +30,7 @@ module Par = Plim_par
 module Wear = Plim_telemetry.Wear
 module Hgram = Plim_telemetry.Histogram
 module Geometry = Plim_geometry
+module Json = Plim_util.Json
 
 let caps = [ 10; 20; 50; 100 ]
 
@@ -527,7 +528,30 @@ let lifetime_bench () =
    wear-out, behind write-verify + spare-line remapping (Plim_fault).
    JSON rows accumulate here and land in bench/results/latest.json. *)
 
-let faulttol_rows : string list ref = ref []
+let faulttol_rows : Json.t list ref = ref []
+
+(* the Campaign.degradation fields of the faulttol and wear rows, by name,
+   in the order the row lists them *)
+let outcome_fields (d : Campaign.degradation) names =
+  List.map
+    (fun name ->
+      ( name,
+        match name with
+        | "injected" -> Json.Int d.Campaign.injected
+        | "worn_out" -> Json.Int d.Campaign.worn_out
+        | "detections" -> Json.Int d.Campaign.detections
+        | "remaps" -> Json.Int d.Campaign.remaps
+        | "verify_reads" -> Json.Int d.Campaign.verify_reads
+        | "retries" -> Json.Int d.Campaign.retries
+        | "transient_failures" -> Json.Int d.Campaign.transient_failures
+        | "executions" -> Json.Int d.Campaign.executions
+        | "correct" -> Json.Int d.Campaign.correct
+        | "incorrect" -> Json.Int d.Campaign.incorrect
+        | "capacity" -> Json.Float d.Campaign.final_capacity
+        | "spares_remaining" -> Json.Int d.Campaign.spares_remaining
+        | "survived" -> Json.Bool (d.Campaign.ended = Campaign.Max_executions)
+        | _ -> invalid_arg ("outcome_fields: " ^ name) ))
+    names
 
 let faulttol () =
   let rates = [ 0.0; 0.005; 0.01; 0.02; 0.05 ] in
@@ -588,17 +612,13 @@ let faulttol () =
               Printf.printf " | %4d %6.4f %3d/%-3d" d.Campaign.injected
                 d.Campaign.final_capacity d.Campaign.correct d.Campaign.executions;
               faulttol_rows :=
-                Printf.sprintf
-                  "{\"benchmark\":%s,\"rate\":%g,\"spares\":%d,\"injected\":%d,\
-                   \"detections\":%d,\"remaps\":%d,\"verify_reads\":%d,\"retries\":%d,\
-                   \"executions\":%d,\"correct\":%d,\"incorrect\":%d,\"capacity\":%.6g,\
-                   \"spares_remaining\":%d,\"survived\":%b}"
-                  (Plim_util.Jsonx.quote name)
-                  rate spares d.Campaign.injected d.Campaign.detections
-                  d.Campaign.remaps d.Campaign.verify_reads d.Campaign.retries
-                  d.Campaign.executions d.Campaign.correct d.Campaign.incorrect
-                  d.Campaign.final_capacity d.Campaign.spares_remaining
-                  (d.Campaign.ended = Campaign.Max_executions)
+                Json.Obj
+                  ([ ("benchmark", Json.Str name); ("rate", Json.Float rate);
+                     ("spares", Json.Int spares) ]
+                  @ outcome_fields d
+                      [ "injected"; "detections"; "remaps"; "verify_reads"; "retries";
+                        "executions"; "correct"; "incorrect"; "capacity";
+                        "spares_remaining"; "survived" ])
                 :: !faulttol_rows)
             budgets;
           print_newline ())
@@ -641,17 +661,13 @@ let faulttol () =
         (float_of_int d.Campaign.executions /. float_of_int (max 1 crash))
         d.Campaign.remaps d.Campaign.retries d.Campaign.final_capacity;
       faulttol_rows :=
-        Printf.sprintf
-          "{\"benchmark\":\"adder8\",\"endurance\":%d,\"spares\":%d,\"injected\":%d,\
-           \"worn_out\":%d,\"detections\":%d,\"remaps\":%d,\"verify_reads\":%d,\
-           \"retries\":%d,\"transient_failures\":%d,\"executions\":%d,\"correct\":%d,\
-           \"incorrect\":%d,\"capacity\":%.6g,\"spares_remaining\":%d,\"survived\":%b}"
-          endurance spares d.Campaign.injected d.Campaign.worn_out
-          d.Campaign.detections d.Campaign.remaps d.Campaign.verify_reads
-          d.Campaign.retries d.Campaign.transient_failures d.Campaign.executions
-          d.Campaign.correct d.Campaign.incorrect d.Campaign.final_capacity
-          d.Campaign.spares_remaining
-          (d.Campaign.ended = Campaign.Max_executions)
+        Json.Obj
+          ([ ("benchmark", Json.Str "adder8"); ("endurance", Json.Int endurance);
+             ("spares", Json.Int spares) ]
+          @ outcome_fields d
+              [ "injected"; "worn_out"; "detections"; "remaps"; "verify_reads";
+                "retries"; "transient_failures"; "executions"; "correct"; "incorrect";
+                "capacity"; "spares_remaining"; "survived" ])
         :: !faulttol_rows)
     outcomes
 
@@ -663,7 +679,7 @@ let faulttol () =
    sequence, so this section is byte-identical at every -j level; it is
    part of the bench-j1 == bench-j4 diff gate. *)
 
-let wear_rows : string list ref = ref []
+let wear_rows : Json.t list ref = ref []
 
 let wear () =
   Printf.printf
@@ -692,14 +708,13 @@ let wear () =
     "executions %d, %d worn out, %d remaps, capacity %.4f\n" d.Campaign.executions
     d.Campaign.worn_out d.Campaign.remaps d.Campaign.final_capacity;
   wear_rows :=
-    [ Printf.sprintf
-        "{\"benchmark\":\"adder8\",\"config\":\"endurance-full\",\"endurance\":%d,\
-         \"spares\":%d,\"executions\":%d,\"worn_out\":%d,\"remaps\":%d,\
-         \"capacity\":%.6g,\"trajectory\":%s,\"heatmap\":%s}"
-        endurance spares d.Campaign.executions d.Campaign.worn_out d.Campaign.remaps
-        d.Campaign.final_capacity
-        (Campaign.trajectory_json d.Campaign.trajectory)
-        (Wear.heatmap_json ~label:"adder8/endurance-full" d.Campaign.final_wear) ]
+    [ Json.Obj
+        ([ ("benchmark", Json.Str "adder8"); ("config", Json.Str "endurance-full");
+           ("endurance", Json.Int endurance); ("spares", Json.Int spares) ]
+        @ outcome_fields d [ "executions"; "worn_out"; "remaps"; "capacity" ]
+        @ [ ("trajectory", Campaign.trajectory_json d.Campaign.trajectory);
+            ( "heatmap",
+              Wear.heatmap_json ~label:"adder8/endurance-full" d.Campaign.final_wear ) ]) ]
 
 (* ------------------------------------------------------------------ *)
 (* Serve: throughput/latency of the compile-and-execute service core
@@ -710,7 +725,7 @@ let wear () =
    mix seed — part of the bench-j1 == bench-j4 diff gate; wall fields
    are zeroed under --deterministic like the phase totals. *)
 
-let serve_rows : string list ref = ref []
+let serve_rows : Json.t list ref = ref []
 
 let serve () =
   Printf.printf
@@ -792,8 +807,8 @@ let serve () =
    milliseconds.  Every number is a pure function of the seeds -- the
    rows are part of the -j1 == -j4 byte-identity gate. *)
 
-let horizon_rows : string list ref = ref []
-let cert_rows : string list ref = ref []
+let horizon_rows : Json.t list ref = ref []
+let cert_rows : Json.t list ref = ref []
 
 let horizon () =
   let module H = Plim_serve.Horizon in
@@ -897,9 +912,9 @@ let horizon () =
         (fun (_, _, c) -> C.row_json ~label:(C.label c ^ "/exec") c)
         xcerts;
   horizon_rows :=
-    List.map (fun (_, _, r) -> H.row_json r) cells
+    List.map (fun (_, _, r) -> H.row r) cells
     @ List.map
-        (fun (_, _, r) -> H.row_json ~label:(H.label r ^ "/exec") r)
+        (fun (_, _, r) -> H.row ~label:(H.label r ^ "/exec") r)
         xcells
 
 (* ------------------------------------------------------------------ *)
@@ -911,7 +926,7 @@ let horizon () =
    program and grid, so the rows are part of the -j1 == -j4
    byte-identity gate. *)
 
-let geometry_rows : string list ref = ref []
+let geometry_rows : Json.t list ref = ref []
 
 let geometry_cols = [ 1; 4; 16; 64 ]
 
@@ -969,14 +984,14 @@ let geometry () =
             (Geometry.max_group_size sched)
             (float_of_int n_instr /. float_of_int (max 1 groups));
           geometry_rows :=
-            Printf.sprintf
-              "{\"benchmark\":%s,\"config\":\"endurance-full\",\"grid\":%s,\
-               \"rows\":%d,\"cols\":%d,\"area\":%d,\"instructions\":%d,\
-               \"groups\":%d,\"cross_row\":%d,\"max_group\":%d}"
-              (Plim_util.Jsonx.quote spec.Suite.name)
-              (Plim_util.Jsonx.quote gname) grid.Geometry.rows grid.Geometry.cols
-              (Geometry.area grid) n_instr groups sched.Geometry.s_cross_row
-              (Geometry.max_group_size sched)
+            Json.Obj
+              [ ("benchmark", Json.Str spec.Suite.name);
+                ("config", Json.Str "endurance-full"); ("grid", Json.Str gname);
+                ("rows", Json.Int grid.Geometry.rows); ("cols", Json.Int grid.Geometry.cols);
+                ("area", Json.Int (Geometry.area grid)); ("instructions", Json.Int n_instr);
+                ("groups", Json.Int groups);
+                ("cross_row", Json.Int sched.Geometry.s_cross_row);
+                ("max_group", Json.Int (Geometry.max_group_size sched)) ]
             :: !geometry_rows)
         geometry_cols)
     !suite;
@@ -1142,9 +1157,7 @@ let export_csv results dir =
    numbers as Tables I-III plus phase wall-clock totals, so the perf
    trajectory can be tracked across commits (schema in EXPERIMENTS.md). *)
 
-let bprintf = Printf.bprintf
-
-let buf_result b ?cap ~config (res : Pipeline.result) =
+let result_row ?cap ~config (res : Pipeline.result) =
   let s = summary res in
   let p = res.Pipeline.program in
   (* static dataflow columns: pure functions of the program, so they are
@@ -1157,108 +1170,75 @@ let buf_result b ?cap ~config (res : Pipeline.result) =
          a.Plim_analyze.diagnostics)
   in
   let counts = Program.static_write_counts p in
-  bprintf b "{\"config\":%s" (Plim_util.Jsonx.quote config);
-  (match cap with Some c -> bprintf b ",\"cap\":%d" c | None -> ());
-  bprintf b
-    ",\"instructions\":%d,\"rram_cells\":%d,\"writes\":{\"min\":%d,\"max\":%d,\"total\":%d,\"mean\":%.6g,\"stdev\":%.6g,\"p50\":%d,\"p90\":%d,\"p99\":%d}"
-    (Program.length p) (Program.num_cells p) s.Stats.min s.Stats.max s.Stats.total
-    s.Stats.mean s.Stats.stdev s.Stats.p50 s.Stats.p90 s.Stats.p99;
-  (* v2 columns: wear-skew balance metrics and the full log-bucketed
-     write-count distribution, all pure functions of the program *)
-  bprintf b ",\"skew\":{\"gini\":%.6g,\"max_mean\":%.6g},\"histogram\":%s"
-    (Stats.gini counts)
-    (Stats.max_mean_ratio s)
-    (Hgram.to_json (Hgram.of_array counts));
-  bprintf b
-    ",\"storage\":{\"total_span\":%d,\"max_span\":%d,\"mean_span\":%.6g},\"dead_writes\":%d}"
-    a.Plim_analyze.storage.Plim_analyze.total_span
-    a.Plim_analyze.storage.Plim_analyze.max_span
-    a.Plim_analyze.storage.Plim_analyze.mean_span dead_writes
+  let st = a.Plim_analyze.storage in
+  Json.Obj
+    ([ ("config", Json.Str config) ]
+    @ (match cap with Some c -> [ ("cap", Json.Int c) ] | None -> [])
+    @ [ ("instructions", Json.Int (Program.length p));
+        ("rram_cells", Json.Int (Program.num_cells p));
+        ( "writes",
+          Json.Obj
+            [ ("min", Json.Int s.Stats.min); ("max", Json.Int s.Stats.max);
+              ("total", Json.Int s.Stats.total); ("mean", Json.Float s.Stats.mean);
+              ("stdev", Json.Float s.Stats.stdev); ("p50", Json.Int s.Stats.p50);
+              ("p90", Json.Int s.Stats.p90); ("p99", Json.Int s.Stats.p99) ] );
+        (* v2 columns: wear-skew balance metrics and the full log-bucketed
+           write-count distribution, all pure functions of the program *)
+        ( "skew",
+          Json.Obj
+            [ ("gini", Json.Float (Stats.gini counts));
+              ("max_mean", Json.Float (Stats.max_mean_ratio s)) ] );
+        ("histogram", Hgram.to_json (Hgram.of_array counts));
+        ( "storage",
+          Json.Obj
+            [ ("total_span", Json.Int st.Plim_analyze.total_span);
+              ("max_span", Json.Int st.Plim_analyze.max_span);
+              ("mean_span", Json.Float st.Plim_analyze.mean_span) ] );
+        ("dead_writes", Json.Int dead_writes) ])
 
 let ensure_dir dir =
   try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
 
 let write_results_json results path =
   ensure_dir (Filename.dirname path);
-  let b = Buffer.create 65536 in
+  let benchmark r =
+    Json.Obj
+      [ ("name", Json.Str r.spec.Suite.name); ("pi", Json.Int r.spec.Suite.pi);
+        ("po", Json.Int r.spec.Suite.po);
+        ( "configs",
+          Json.Arr
+            (List.map
+               (fun (config, res) -> result_row ~config res)
+               [ ("naive", r.naive); ("dac16", r.dac16); ("min-write", r.min_write);
+                 ("endurance-rewrite", r.endurance_rewrite);
+                 ("endurance-full", r.endurance_full) ]
+            @ List.map
+                (fun (cap, res) ->
+                  result_row ~cap ~config:(Printf.sprintf "endurance-full+cap%d" cap) res)
+                r.capped) ) ]
+  in
   (* --deterministic zeroes the two wall-clock fields so -j1/-jN runs
      produce byte-identical files *)
-  bprintf b "{\"schema\":\"plim-bench/v2\",\"generated_at\":%.0f,\"benchmarks\":[\n"
-    (if !deterministic then 0.0 else Unix.time ());
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_string b ",\n";
-      bprintf b "{\"name\":%s,\"pi\":%d,\"po\":%d,\"configs\":["
-        (Plim_util.Jsonx.quote r.spec.Suite.name)
-        r.spec.Suite.pi r.spec.Suite.po;
-      List.iteri
-        (fun j (config, res) ->
-          if j > 0 then Buffer.add_char b ',';
-          buf_result b ~config res)
-        [ ("naive", r.naive); ("dac16", r.dac16); ("min-write", r.min_write);
-          ("endurance-rewrite", r.endurance_rewrite);
-          ("endurance-full", r.endurance_full) ];
-      List.iter
-        (fun (cap, res) ->
-          Buffer.add_char b ',';
-          buf_result b ~cap ~config:(Printf.sprintf "endurance-full+cap%d" cap) res)
-        r.capped;
-      Buffer.add_string b "]}")
-    results;
-  Buffer.add_string b "\n],\"phases\":[";
-  List.iteri
-    (fun i (name, (calls, total)) ->
-      if i > 0 then Buffer.add_char b ',';
-      bprintf b "\n{\"name\":%s,\"calls\":%d,\"total_s\":%.6f}"
-        (Plim_util.Jsonx.quote name)
-        calls
-        (if !deterministic then 0.0 else total))
-    (Profile.totals ());
-  Buffer.add_string b "\n],\"faulttol\":[";
-  List.iteri
-    (fun i row ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_char b '\n';
-      Buffer.add_string b row)
-    (List.rev !faulttol_rows);
-  Buffer.add_string b "\n],\"wear\":[";
-  List.iteri
-    (fun i row ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_char b '\n';
-      Buffer.add_string b row)
-    !wear_rows;
-  Buffer.add_string b "\n],\"serve\":[";
-  List.iteri
-    (fun i row ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_char b '\n';
-      Buffer.add_string b row)
-    (List.rev !serve_rows);
-  Buffer.add_string b "\n],\"horizon\":[";
-  List.iteri
-    (fun i row ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_char b '\n';
-      Buffer.add_string b row)
-    !horizon_rows;
-  Buffer.add_string b "\n],\"cert\":[";
-  List.iteri
-    (fun i row ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_char b '\n';
-      Buffer.add_string b row)
-    !cert_rows;
-  Buffer.add_string b "\n],\"geometry\":[";
-  List.iteri
-    (fun i row ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_char b '\n';
-      Buffer.add_string b row)
-    (List.rev !geometry_rows);
-  Buffer.add_string b "\n]}\n";
+  let phase (name, (calls, total)) =
+    Json.Obj
+      [ ("name", Json.Str name); ("calls", Json.Int calls);
+        ("total_s", Json.fixed "%.6f" (if !deterministic then 0.0 else total)) ]
+  in
+  (* the rows run the analyzer, whose spans the phase totals must count *)
+  let benchmarks = List.map benchmark results in
+  let doc =
+    Json.Obj
+      [ ("schema", Json.Str "plim-bench/v2");
+        ("generated_at", Json.Int (if !deterministic then 0 else int_of_float (Unix.time ())));
+        ("benchmarks", Json.Arr benchmarks);
+        ("phases", Json.Arr (List.map phase (Profile.totals ())));
+        ("faulttol", Json.Arr (List.rev !faulttol_rows)); ("wear", Json.Arr !wear_rows);
+        ("serve", Json.Arr (List.rev !serve_rows)); ("horizon", Json.Arr !horizon_rows);
+        ("cert", Json.Arr !cert_rows); ("geometry", Json.Arr (List.rev !geometry_rows)) ]
+  in
   let oc = open_out path in
-  Buffer.output_buffer oc b;
+  output_string oc (Json.to_string_rows doc);
+  output_char oc '\n';
   close_out oc;
   Printf.eprintf "[bench] wrote %s\n%!" path
 

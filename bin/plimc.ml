@@ -24,6 +24,7 @@ module Profile = Plim_obs.Profile
 module Report = Plim_telemetry.Report
 module Wear = Plim_telemetry.Wear
 module Geometry = Plim_geometry
+module Json = Plim_util.Json
 
 open Cmdliner
 
@@ -172,6 +173,42 @@ let allocation_arg =
   Arg.(value & opt (some cenum) None
        & info [ "allocation" ] ~docv:"A"
            ~doc:"Override device allocation: lifo, fifo or min-write.")
+
+(* The program mix of the fleet subcommands (serve, horizon, certify):
+   the named suite benchmarks in order, or the small suite when none is
+   given.  An unknown name exits 1. *)
+let suite_specs cmd = function
+  | [] -> Suite.small_suite
+  | names ->
+    List.map
+      (fun name ->
+        match Suite.find name with
+        | spec -> spec
+        | exception Not_found ->
+          Printf.eprintf "plimc %s: %S is not a known benchmark (try 'plimc list')\n"
+            cmd name;
+          exit 1)
+      names
+
+(* A float option that must be finite: JSON has no nan or inf, and no
+   campaign, certificate or gate means anything at them.  A non-finite
+   value is a usage error (exit 2) like any unparsable one. *)
+let finite_float =
+  let parse s =
+    match Arg.conv_parser Arg.float s with
+    | Ok f when not (Float.is_finite f) ->
+      Error (`Msg (Printf.sprintf "%S is not a finite number" s))
+    | r -> r
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.float)
+
+let strategy_conv =
+  Arg.conv
+    ( (fun s ->
+        match Plim_serve.Horizon.strategy_of_string s with
+        | Ok st -> Ok st
+        | Error e -> Error (`Msg e)),
+      fun ppf st -> Format.pp_print_string ppf (Plim_serve.Horizon.strategy_name st) )
 
 let override config rewriting selection allocation =
   let config =
@@ -529,14 +566,15 @@ let faults_run source config cap effort rewriting selection allocation inject sp
   (match wear_json with
   | Some path ->
     let oc = open_out path in
-    Printf.fprintf oc
-      "{\"schema\":\"plim-wear/v1\",\"source\":%s,\"config\":%s,\"executions\":%d,\
-       \"trajectory\":%s,\"heatmap\":%s}\n"
-      (Plim_util.Jsonx.quote source)
-      (Plim_util.Jsonx.quote (Pipeline.config_name config))
-      d.Campaign.executions
-      (Campaign.trajectory_json d.Campaign.trajectory)
-      (Wear.heatmap_json ~label:source d.Campaign.final_wear);
+    output_string oc
+      (Json.to_string
+         (Json.Obj
+            [ ("schema", Json.Str "plim-wear/v1"); ("source", Json.Str source);
+              ("config", Json.Str (Pipeline.config_name config));
+              ("executions", Json.Int d.Campaign.executions);
+              ("trajectory", Campaign.trajectory_json d.Campaign.trajectory);
+              ("heatmap", Wear.heatmap_json ~label:source d.Campaign.final_wear) ]));
+    output_char oc '\n';
     close_out oc;
     Printf.eprintf "wrote wear trajectory + heatmap to %s\n%!" path
   | None -> ());
@@ -769,13 +807,9 @@ let lint_run sources config cap effort rewriting selection allocation geometry
   in
   let error_total = ref 0 in
   if json then begin
-    print_string "[";
-    List.iteri
-      (fun i (source, p, a) ->
-        if i > 0 then print_string ",";
-        print_string (Analyze.to_json ~source p a))
-      results;
-    print_endline "]"
+    print_endline
+      (Json.to_string
+         (Json.Arr (List.map (fun (source, p, a) -> Analyze.to_json ~source p a) results)))
   end
   else
     List.iter
@@ -883,7 +917,7 @@ let report_run current against threshold min_abs json verbose =
     Printf.eprintf "plimc report: %s\n" e;
     exit 2
   | Ok c ->
-    if json then print_string (Report.to_json c)
+    if json then print_string (Json.to_string (Report.to_json c))
     else print_string (Report.render ~verbose c);
     if Report.has_regressions c then exit 1
 
@@ -900,13 +934,13 @@ let report_cmd =
              ~doc:"Baseline results file to diff $(i,CURRENT) against.")
   in
   let threshold =
-    Arg.(value & opt float 2.0
+    Arg.(value & opt finite_float 2.0
          & info [ "threshold" ] ~docv:"PCT"
              ~doc:"Relative growth (percent) a metric must exceed to count as a \
                    regression.")
   in
   let min_abs =
-    Arg.(value & opt float 1e-9
+    Arg.(value & opt finite_float 1e-9
          & info [ "min-abs" ] ~docv:"X"
              ~doc:"Absolute growth floor below which a delta never gates; \
                    identical runs always report zero regressions.")
@@ -947,20 +981,7 @@ let serve_run sources requests seed shards spare_shards cell_spares lines batch
   let config = override config rewriting selection allocation in
   let config = { config with Pipeline.effort } in
   let config = match cap with Some w -> Pipeline.with_cap w config | None -> config in
-  let specs =
-    match sources with
-    | [] -> Suite.small_suite
-    | names ->
-      List.map
-        (fun name ->
-          match Suite.find name with
-          | spec -> spec
-          | exception Not_found ->
-            Printf.eprintf
-              "plimc serve: %S is not a known benchmark (try 'plimc list')\n" name;
-            exit 1)
-        names
-  in
+  let specs = suite_specs "serve" sources in
   let mix =
     Plim_serve.Workload.mix_of_suite ~zipf ~hot_fraction:hot ~hot_pool
       ~compile_ratio specs
@@ -1005,13 +1026,14 @@ let serve_run sources requests seed shards spare_shards cell_spares lines batch
   (match wear_json with
   | Some path ->
     let oc = open_out path in
-    output_string oc (Plim_serve.Server.fleet_heatmap_json server);
+    output_string oc (Json.to_string (Plim_serve.Server.fleet_heatmap_json server));
     output_char oc '\n';
     close_out oc;
     Printf.eprintf "wrote fleet wear heatmaps to %s\n%!" path
   | None -> ());
   if json then
-    print_endline (Plim_serve.Server.row_json server ~label:"serve" ~wall_s:wall)
+    print_endline
+      (Json.to_string (Plim_serve.Server.row_json server ~label:"serve" ~wall_s:wall))
   else begin
     let lat = Plim_serve.Server.latency server in
     let skew = Plim_serve.Server.fleet_skew server in
@@ -1187,21 +1209,7 @@ let horizon_run sources strategies rates endurance epoch_requests sample_every
     compile_ratio jobs json trace metrics profile =
   with_obs ~trace ~metrics ~profile @@ fun () ->
   let module H = Plim_serve.Horizon in
-  let specs =
-    match sources with
-    | [] -> Suite.small_suite
-    | names ->
-      List.map
-        (fun name ->
-          match Suite.find name with
-          | spec -> spec
-          | exception Not_found ->
-            Printf.eprintf
-              "plimc horizon: %S is not a known benchmark (try 'plimc list')\n"
-              name;
-            exit 1)
-        names
-  in
+  let specs = suite_specs "horizon" sources in
   let mix =
     Plim_serve.Workload.mix_of_suite ~zipf ~hot_fraction:hot ~hot_pool
       ~compile_ratio specs
@@ -1271,15 +1279,6 @@ let horizon_cmd =
              ~doc:"Benchmarks forming the program mix, most popular first \
                    (default: the small suite).")
   in
-  let strategy_conv =
-    Arg.conv
-      ( (fun s ->
-          match Plim_serve.Horizon.strategy_of_string s with
-          | Ok st -> Ok st
-          | Error e -> Error (`Msg e)),
-        fun ppf st ->
-          Format.pp_print_string ppf (Plim_serve.Horizon.strategy_name st) )
-  in
   let strategies =
     Arg.(value & opt_all strategy_conv []
          & info [ "strategy" ] ~docv:"S"
@@ -1294,7 +1293,7 @@ let horizon_cmd =
                    default: 0).")
   in
   let endurance =
-    Arg.(value & opt float 2e5
+    Arg.(value & opt finite_float 2e5
          & info [ "endurance" ] ~docv:"E"
              ~doc:"Per-cell write budget of the campaign.")
   in
@@ -1425,22 +1424,7 @@ let certify_run sources strategies rates endurance epoch_requests psi
     compile_ratio fault_seed json check_file =
   let module H = Plim_serve.Horizon in
   let module C = Plim_certify in
-  let module Json = Plim_telemetry.Json in
-  let specs =
-    match sources with
-    | [] -> Suite.small_suite
-    | names ->
-      List.map
-        (fun name ->
-          match Suite.find name with
-          | spec -> spec
-          | exception Not_found ->
-            Printf.eprintf
-              "plimc certify: %S is not a known benchmark (try 'plimc list')\n"
-              name;
-            exit 1)
-        names
-  in
+  let specs = suite_specs "certify" sources in
   let mix = Plim_serve.Workload.mix_of_suite ~zipf ~compile_ratio specs in
   let strategies =
     match strategies with [] -> H.all_strategies | ss -> ss
@@ -1468,7 +1452,7 @@ let certify_run sources strategies rates endurance epoch_requests psi
   (match check_file with
   | None ->
     if json then
-      List.iter (fun (_, _, c) -> print_endline (C.row_json c)) cells
+      List.iter (fun (_, _, c) -> print_endline (Json.to_string (C.row_json c))) cells
     else begin
       Printf.printf
         "certify: endurance %.3g writes/cell, epochs of %d requests, \
@@ -1540,15 +1524,6 @@ let certify_cmd =
              ~doc:"Benchmarks forming the program mix, most popular first \
                    (default: the small suite).")
   in
-  let strategy_conv =
-    Arg.conv
-      ( (fun s ->
-          match Plim_serve.Horizon.strategy_of_string s with
-          | Ok st -> Ok st
-          | Error e -> Error (`Msg e)),
-        fun ppf st ->
-          Format.pp_print_string ppf (Plim_serve.Horizon.strategy_name st) )
-  in
   let strategies =
     Arg.(value & opt_all strategy_conv []
          & info [ "strategy" ] ~docv:"S"
@@ -1563,7 +1538,7 @@ let certify_cmd =
                    default: 0).")
   in
   let endurance =
-    Arg.(value & opt float 2e5
+    Arg.(value & opt finite_float 2e5
          & info [ "endurance" ] ~docv:"E"
              ~doc:"Per-cell write budget being certified.")
   in

@@ -118,17 +118,9 @@ val write_counts : Program.t -> int array
 val errors : analysis -> diagnostic list
 (** The diagnostics with [severity = Error]. *)
 
-val severity_name : severity -> string  (** ["error"], ["warning"], ["info"] *)
-
-val kind_name : kind -> string
-(** Kebab-case catalogue name, e.g. ["use-before-def"], ["dead-write"]. *)
-
-val pp_diagnostic : Format.formatter -> diagnostic -> unit
-(** [<instr>: <severity>: <kind>: cell %<cell>: <message>]. *)
-
 val diagnostic_to_string : diagnostic -> string
 
-val to_json : ?source:string -> Program.t -> analysis -> string
+val to_json : ?source:string -> Program.t -> analysis -> Plim_util.Json.t
 (** One self-contained JSON object (schema [plim-lint/v1]): program shape,
     the full diagnostic list, storage-duration report and the write-bound
     summary.  Stable field order; documented in EXPERIMENTS.md. *)

@@ -162,7 +162,7 @@ val label : t -> string
 (** ["<strategy>/r<rate>"] — identical to {!Horizon.label} of the
     simulated cell. *)
 
-val row_json : ?label:string -> t -> string
+val row_json : ?label:string -> t -> Plim_util.Json.t
 (** One [plim-cert/v1] row.  Unbounded bound endpoints are encoded as
     [-1] (the schema carries no nulls or infinities); everything else is
     finite.  [label] overrides the default {!label} (variant grids of
@@ -183,7 +183,7 @@ val find : (Horizon.strategy * float * t) list -> string -> t option
 
 val check_row_json :
   (Horizon.strategy * float * t) list ->
-  Plim_telemetry.Json.t ->
+  Plim_util.Json.t ->
   (string, string) result
 (** Check one parsed [plim-horizon/v1] row against the matching
     certificate of the grid: [Ok label] when the row is inside its

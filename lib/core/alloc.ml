@@ -74,7 +74,6 @@ type t = {
   strategy : strategy;
   max_write : int option;
   is_faulty : int -> bool;
-  mutable faulty_skipped : int;
   writes : int Vec.t;   (* per ever-allocated device *)
   stack : int Vec.t;    (* Lifo/Fifo pool *)
   mutable fifo_head : int;
@@ -88,7 +87,6 @@ let create ?max_write ?(is_faulty = fun _ -> false) ~strategy () =
   { strategy;
     max_write;
     is_faulty;
-    faulty_skipped = 0;
     writes = Vec.create ~dummy:0 ();
     stack = Vec.create ~dummy:(-1) ();
     fifo_head = 0;
@@ -130,7 +128,6 @@ let rec fresh t =
   ignore (Vec.push t.writes 0);
   let cell = Vec.length t.writes - 1 in
   if t.is_faulty cell then begin
-    t.faulty_skipped <- t.faulty_skipped + 1;
     Metrics.incr m_faulty_skipped;
     if Trace.enabled () then Trace.emit "alloc.skip_faulty" ~args:[ ("cell", Int cell) ];
     fresh t
@@ -239,4 +236,3 @@ let free_count t =
   | Fifo -> Vec.length t.stack - t.fifo_head
   | Min_write -> Heap.length t.heap
 
-let faulty_skipped t = t.faulty_skipped

@@ -134,8 +134,6 @@ let set_observer t obs = Crossbar.set_observer t.base obs
 
 let wear_counts t = Crossbar.write_counts t.base
 
-let num_faulty t = t.num_stuck
-
 let injected t = t.injected
 
 let worn_out t = t.num_stuck - t.injected

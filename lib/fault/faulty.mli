@@ -67,9 +67,6 @@ val stuck_at : t -> int -> bool option
     this through write-verify): [Some v] if the cell is permanently stuck
     at [v]. *)
 
-val num_faulty : t -> int
-(** Currently stuck cells: injected plus worn-out. *)
-
 val injected : t -> int
 (** Permanently faulty cells present at creation. *)
 

@@ -29,8 +29,6 @@ let physical t l =
     invalid_arg (Printf.sprintf "Remap.physical: address %d out of range" l);
   t.map.(l)
 
-let spares_total t = t.total - Array.length t.map
-
 let spares_left t = t.total - t.next_spare
 
 let remaps t = t.remaps

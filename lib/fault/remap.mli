@@ -27,8 +27,6 @@ val num_physical : t -> int
 val physical : t -> int -> int
 (** Current physical line of a logical address. *)
 
-val spares_total : t -> int
-
 val spares_left : t -> int
 
 val remaps : t -> int

@@ -44,9 +44,6 @@ val eval : man -> t -> bool array -> bool
 val size : man -> t -> int
 (** Number of decision nodes reachable from [t]. *)
 
-val live_nodes : man -> int
-(** Total nodes allocated in the manager (monitoring / table sizing). *)
-
 val interleave : int -> int -> int array
 (** [interleave groups width] is the order that interleaves [groups]
     words of [width] bits declared one after the other — the classic

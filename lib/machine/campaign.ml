@@ -92,11 +92,15 @@ let finish_trajectory sm completed =
   | Some s when s.at_execution = completed -> pts
   | _ -> pts @ [ final ]
 
-let sample_json s =
-  Printf.sprintf "{\"at_execution\":%d,\"at_write\":%d,\"skew\":%s}" s.at_execution
-    s.at_write (Wear.skew_json s.skew)
-
-let trajectory_json samples = "[" ^ String.concat "," (List.map sample_json samples) ^ "]"
+let trajectory_json samples =
+  let open Plim_util.Json in
+  Arr
+    (List.map
+       (fun s ->
+         Obj
+           [ ("at_execution", Int s.at_execution); ("at_write", Int s.at_write);
+             ("skew", Wear.skew_json s.skew) ])
+       samples)
 
 let pp_trajectory ppf samples =
   Format.fprintf ppf "  %10s %10s  %s@." "execution" "writes" "wear skew";

@@ -51,10 +51,6 @@ let signal_equal (a : signal) b = a = b
 let false_ = signal 0 false
 let true_ = signal 0 true
 let is_const s = node_of s = 0
-let compare_signal (a : signal) b = compare a b
-
-let pp_signal ppf s =
-  Format.fprintf ppf "%s%d" (if is_complemented s then "!" else "") (node_of s)
 
 (* {1 Construction} *)
 

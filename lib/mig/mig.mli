@@ -35,8 +35,6 @@ val signal_equal : signal -> signal -> bool
 val false_ : signal
 val true_ : signal
 val is_const : signal -> bool
-val compare_signal : signal -> signal -> int
-val pp_signal : Format.formatter -> signal -> unit
 
 (** {1 Construction} *)
 
@@ -119,9 +117,6 @@ val iter_reachable_maj : t -> (int -> unit) -> unit
 
 val eval : t -> bool array -> bool array
 (** [eval t pi_values] returns output values, in output declaration order. *)
-
-val node_values : t -> bool array -> bool array
-(** Per-node values under the given input assignment. *)
 
 val output_tables : t -> Plim_logic.Truth_table.t array
 (** Exhaustive truth tables of all outputs;

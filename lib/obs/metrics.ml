@@ -47,8 +47,6 @@ let set_gauge g v = with_lock @@ fun () -> g.level <- v
 
 let add_gauge g d = with_lock @@ fun () -> g.level <- g.level +. d
 
-let gauge_value g = with_lock @@ fun () -> g.level
-
 let get name =
   with_lock @@ fun () ->
   match Hashtbl.find_opt counters name with Some c -> Atomic.get c.count | None -> 0
@@ -108,17 +106,12 @@ let pp_snapshot ppf entries =
 (* The single JSON exposition path: counters, gauges and histograms in
    one sorted document. *)
 let to_json () =
-  let entries = snapshot () in
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\"schema\":\"plim-metrics/v1\",\"metrics\":{";
-  List.iteri
-    (fun i (name, v) ->
-      if i > 0 then Buffer.add_char b ',';
-      let key = Plim_util.Jsonx.quote name in
-      match v with
-      | Counter c -> Printf.bprintf b "%s:%d" key c
-      | Gauge g -> Printf.bprintf b "%s:%.6g" key g
-      | Hist h -> Printf.bprintf b "%s:%s" key (Hgram.to_json h))
-    entries;
-  Buffer.add_string b "}}";
-  Buffer.contents b
+  let module Json = Plim_util.Json in
+  let value = function
+    | Counter c -> Json.Int c
+    | Gauge g -> Json.Float g
+    | Hist h -> Hgram.to_json h
+  in
+  Json.Obj
+    [ ("schema", Json.Str "plim-metrics/v1");
+      ("metrics", Json.Obj (List.map (fun (name, v) -> (name, value v)) (snapshot ()))) ]

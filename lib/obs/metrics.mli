@@ -35,8 +35,6 @@ val add_gauge : gauge -> float -> unit
     registry lock — for levels maintained incrementally across batches,
     like the serve fleet's cumulative physical-write gauge. *)
 
-val gauge_value : gauge -> float
-
 val get : string -> int
 (** Current value of the counter registered under [name]; 0 if no such
     counter exists. *)
@@ -72,6 +70,6 @@ val pp_snapshot : Format.formatter -> (string * value) list -> unit
 (** One [name value] line per metric; histograms render as a
     [count/mean/quantile] summary line. *)
 
-val to_json : unit -> string
+val to_json : unit -> Plim_util.Json.t
 (** The single JSON exposition path: one [plim-metrics/v1] document with
     every counter, gauge and histogram, sorted by name. *)

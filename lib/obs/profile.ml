@@ -77,27 +77,18 @@ let totals () =
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let to_chrome_json () =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\"traceEvents\":[";
-  List.iteri
-    (fun i s ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b "\n{\"name\":\"";
-      String.iter
-        (fun c ->
-          match c with
-          | '"' -> Buffer.add_string b "\\\""
-          | '\\' -> Buffer.add_string b "\\\\"
-          | c when Char.code c < 0x20 ->
-            Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-          | c -> Buffer.add_char b c)
-        s.name;
-      Buffer.add_string b
-        (Printf.sprintf "\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":1}"
-           (s.start *. 1e6) (s.duration *. 1e6)))
-    (spans ());
-  Buffer.add_string b "\n],\"displayTimeUnit\":\"ms\"}";
-  Buffer.contents b
+  let module Json = Plim_util.Json in
+  let event s =
+    Json.Obj
+      [ ("name", Json.Str s.name); ("ph", Json.Str "X");
+        ("ts", Json.fixed "%.3f" (s.start *. 1e6));
+        ("dur", Json.fixed "%.3f" (s.duration *. 1e6)); ("pid", Json.Int 1);
+        ("tid", Json.Int 1) ]
+  in
+  Json.to_string_rows
+    (Json.Obj
+       [ ("traceEvents", Json.Arr (List.map event (spans ())));
+         ("displayTimeUnit", Json.Str "ms") ])
 
 let pp_totals ppf entries =
   List.iter

@@ -20,36 +20,21 @@ let sink () = !current
 
 let enabled () = match !current with Null -> false | _ -> true
 
-let json_escape = Plim_util.Jsonx.escape_into
-
-let add_json_float b f =
-  (* JSON has no nan/inf; %.17g round-trips every other float *)
-  if Float.is_finite f then Buffer.add_string b (Printf.sprintf "%.17g" f)
-  else Buffer.add_string b "null"
-
+(* JSON has no nan/inf (the printer writes null); %.17g round-trips
+   every other float *)
 let event_to_json e =
-  let b = Buffer.create 96 in
-  Buffer.add_string b "{\"ts\":";
-  add_json_float b e.ts;
-  Buffer.add_string b ",\"name\":\"";
-  json_escape b e.name;
-  Buffer.add_char b '"';
-  List.iter
-    (fun (k, v) ->
-      Buffer.add_string b ",\"";
-      json_escape b k;
-      Buffer.add_string b "\":";
-      match v with
-      | Int i -> Buffer.add_string b (string_of_int i)
-      | Float f -> add_json_float b f
-      | Bool v -> Buffer.add_string b (if v then "true" else "false")
-      | String s ->
-        Buffer.add_char b '"';
-        json_escape b s;
-        Buffer.add_char b '"')
-    e.args;
-  Buffer.add_char b '}';
-  Buffer.contents b
+  let module Json = Plim_util.Json in
+  let arg = function
+    | Int i -> Json.Int i
+    | Float f -> Json.fixed "%.17g" f
+    | Bool v -> Json.Bool v
+    | String s -> Json.Str s
+  in
+  Json.to_string
+    (Json.Obj
+       (("ts", Json.fixed "%.17g" e.ts)
+       :: ("name", Json.Str e.name)
+       :: List.map (fun (k, v) -> (k, arg v)) e.args))
 
 (* Serializes sink writes: events may be emitted from pool domains
    (Plim_par tasks), and neither Queue.add nor channel output is

@@ -36,9 +36,6 @@ val enabled : unit -> bool
 val emit : ?args:(string * arg) list -> string -> unit
 (** Emit an event to the current sink (a no-op under {!Null}). *)
 
-val event_to_json : event -> string
-(** One-line JSON object: [{"ts":…,"name":"…",…args…}]. *)
-
 val with_memory : (unit -> 'a) -> 'a * event list
 (** Run with a fresh [Memory] sink installed; restores the previous sink
     (also on exception) and returns the captured events in order. *)

@@ -45,8 +45,6 @@ let recipe_name = function
   | Algorithm1 -> "dac16"
   | Algorithm2 -> "endurance"
 
-let pp_recipe ppf r = Format.pp_print_string ppf (recipe_name r)
-
 (* Algorithm 1 (DAC'16 [21]):
    1: Ω.M; Ω.D(R->L)   2: Ω.A; Ψ.C   3: Ω.M; Ω.D(R->L)
    4: Ω.I(R->L)(1-3)   5: Ω.I(R->L) *)

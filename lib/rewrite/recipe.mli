@@ -19,7 +19,6 @@ val run_pass : ?name:string -> Mig.t -> pass -> Mig.t
 
 type recipe = No_rewriting | Algorithm1 | Algorithm2
 
-val pp_recipe : Format.formatter -> recipe -> unit
 val recipe_name : recipe -> string
 
 val cycle : recipe -> Mig.t -> Mig.t
@@ -38,6 +37,3 @@ val run : recipe -> effort:int -> Mig.t -> Mig.t
     result is the graph [effort] cycles would give.  The
     [rewrite.cycles] counter counts the cycles actually run (at most
     [effort]). *)
-
-val algorithm1 : effort:int -> Mig.t -> Mig.t
-val algorithm2 : effort:int -> Mig.t -> Mig.t

@@ -476,49 +476,36 @@ let decimate ~keep xs =
     List.init keep (fun i ->
         if i = keep - 1 then arr.(n - 1) else arr.(i * (n - 1) / (keep - 1)))
 
-let row_json ?label:lbl r =
+let row ?label:lbl r =
   let lbl = match lbl with Some l -> l | None -> label r in
-  let b = Buffer.create 1024 in
   let opt_years e = sentinel_epochs (Option.map (years_of r) e) in
   let proj e =
     sentinel_epochs (Option.map (fun e -> years_of r e *. r.r_project_factor) e)
   in
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\"schema\":\"plim-horizon/v1\",\"label\":%s,\"strategy\":%s,\
-        \"fault_rate\":%.6g,\"endurance\":%.6g,\"epochs\":%.6g,\"stop\":%s,\
-        \"ttff_epochs\":%.6g,\"ttff_years\":%.6g,\"half_life_epochs\":%.6g,\
-        \"half_life_years\":%.6g,\"proj_ttff_years\":%.6g,\
-        \"proj_half_life_years\":%.6g,\"final_capacity\":%.6g,\
-        \"capacity_loss\":%.6g,\"dead_shards\":%d,\"alive_shards\":%d,\
-        \"sampled_epochs\":%d,\"total_writes\":%.6g,\"skew\":%s,\
-        \"trajectory\":["
-       (Plim_util.Jsonx.quote lbl)
-       (Plim_util.Jsonx.quote (strategy_name r.r_strategy))
-       r.r_fault_rate r.r_endurance r.r_epochs
-       (Plim_util.Jsonx.quote (stop_reason_name r.r_stop))
-       (opt_epochs r.r_ttff) (opt_years r.r_ttff)
-       (opt_epochs r.r_half_life) (opt_years r.r_half_life)
-       (proj r.r_ttff) (proj r.r_half_life)
-       r.r_final_capacity
-       (1.0 -. r.r_final_capacity)
-       r.r_dead_shards r.r_alive_shards r.r_sampled_epochs r.r_total_writes
-       (Wear.skew_json r.r_skew));
-  List.iteri
-    (fun i s ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"epoch\":%.6g,\"capacity\":%.6g,\"gini\":%.6g,\"max_mean\":%.6g}"
-           s.hz_epoch s.hz_capacity s.hz_skew.Wear.gini s.hz_skew.Wear.max_mean))
-    (decimate ~keep:48 r.r_trajectory);
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  let open Plim_util.Json in
+  Obj
+    [ ("schema", Str "plim-horizon/v1"); ("label", Str lbl);
+      ("strategy", Str (strategy_name r.r_strategy)); ("fault_rate", Float r.r_fault_rate);
+      ("endurance", Float r.r_endurance); ("epochs", Float r.r_epochs);
+      ("stop", Str (stop_reason_name r.r_stop));
+      ("ttff_epochs", Float (opt_epochs r.r_ttff)); ("ttff_years", Float (opt_years r.r_ttff));
+      ("half_life_epochs", Float (opt_epochs r.r_half_life));
+      ("half_life_years", Float (opt_years r.r_half_life));
+      ("proj_ttff_years", Float (proj r.r_ttff));
+      ("proj_half_life_years", Float (proj r.r_half_life));
+      ("final_capacity", Float r.r_final_capacity);
+      ("capacity_loss", Float (1.0 -. r.r_final_capacity));
+      ("dead_shards", Int r.r_dead_shards); ("alive_shards", Int r.r_alive_shards);
+      ("sampled_epochs", Int r.r_sampled_epochs); ("total_writes", Float r.r_total_writes);
+      ("skew", Wear.skew_json r.r_skew);
+      ( "trajectory",
+        Arr
+          (List.map
+             (fun s ->
+               Obj
+                 [ ("epoch", Float s.hz_epoch); ("capacity", Float s.hz_capacity);
+                   ("gini", Float s.hz_skew.Wear.gini);
+                   ("max_mean", Float s.hz_skew.Wear.max_mean) ])
+             (decimate ~keep:48 r.r_trajectory)) ) ]
 
-let pp_result ppf r =
-  let f = function Some e -> Printf.sprintf "%.4g" e | None -> "-" in
-  Format.fprintf ppf
-    "%-17s r=%-6g ttff=%-8s half-life=%-8s epochs=%-8g capacity=%.2f dead=%d"
-    (strategy_name r.r_strategy)
-    r.r_fault_rate (f r.r_ttff) (f r.r_half_life) r.r_epochs r.r_final_capacity
-    r.r_dead_shards
+let row_json ?label r = Plim_util.Json.to_string (row ?label r)

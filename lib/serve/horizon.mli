@@ -84,8 +84,6 @@ val default_config : config
 
 type stop_reason = Capacity_floor | Fleet_dead | Max_epochs
 
-val stop_reason_name : stop_reason -> string
-
 type sample = { hz_epoch : float; hz_capacity : float; hz_skew : Plim_telemetry.Wear.skew }
 
 type shard_report = {
@@ -149,9 +147,10 @@ val sentinel_epochs : float option -> float
     [infinity] for "never reached", which a no-nulls/no-infinities JSON
     schema folds into the same "did not happen" sentinel). *)
 
-val row_json : ?label:string -> result -> string
+val row : ?label:string -> result -> Plim_util.Json.t
 (** One [plim-horizon/v1] row.  Optional lifetimes that never happened
-    before the stop are encoded as [-1] (the schema carries no nulls);
+    before the stop are encoded as [-1], never as [null];
     the trajectory is decimated to at most 48 points. *)
 
-val pp_result : Format.formatter -> result -> unit
+val row_json : ?label:string -> result -> string
+(** {!row} printed by {!Plim_util.Json.to_string}. *)

@@ -60,4 +60,3 @@ let stats t = t.stats
 let wear_counts t = Faulty.wear_counts t.faulty
 let total_writes t = Array.fold_left ( + ) 0 (wear_counts t)
 let spares_left t = Remap.spares_left t.remap
-let stuck_cells t = Faulty.num_faulty t.faulty

@@ -39,33 +39,13 @@ type comparison = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Row extraction: one row per benchmark x config, metrics flattened to
-   (name, value) pairs.  v1 files simply lack the quantile and skew
-   fields; only metrics present in BOTH files are compared, which is
-   the whole v1 -> v2 migration story. *)
+(* Row extraction: one row per benchmark x config (or per pseudo-benchmark
+   row of the other arrays), metrics flattened to (name, value) pairs.
+   v1 files simply lack the quantile and skew fields; only metrics present
+   in BOTH files are compared, which is the whole v1 -> v2 migration
+   story. *)
 
-let num path j = Option.bind (Json.member path j) Json.to_float
-
-let sub_num obj field j =
-  Option.bind (Json.member obj j) (fun o -> num field o)
-
-let metrics_of_config c =
-  let take name v acc = match v with Some f -> (name, f) :: acc | None -> acc in
-  []
-  |> take "instructions" (num "instructions" c)
-  |> take "rram_cells" (num "rram_cells" c)
-  |> take "writes.total" (sub_num "writes" "total" c)
-  |> take "writes.max" (sub_num "writes" "max" c)
-  |> take "writes.stdev" (sub_num "writes" "stdev" c)
-  |> take "writes.p50" (sub_num "writes" "p50" c)
-  |> take "writes.p90" (sub_num "writes" "p90" c)
-  |> take "writes.p99" (sub_num "writes" "p99" c)
-  |> take "skew.gini" (sub_num "skew" "gini" c)
-  |> take "skew.max_mean" (sub_num "skew" "max_mean" c)
-  |> take "storage.total_span" (sub_num "storage" "total_span" c)
-  |> take "storage.max_span" (sub_num "storage" "max_span" c)
-  |> take "dead_writes" (num "dead_writes" c)
-  |> List.rev
+module Json = Plim_util.Json
 
 type row = {
   r_benchmark : string;
@@ -73,155 +53,81 @@ type row = {
   r_metrics : (string * float) list;
 }
 
-let schema_of j =
-  match Option.bind (Json.member "schema" j) Json.to_string with
-  | Some s -> s
-  | None -> "unknown"
+let str key j =
+  Option.value ~default:"?" (Option.bind (Json.member key j) Json.to_str)
 
-(* plim-serve/v1 rows: the service experiments' cost metrics.  Wall-clock
-   throughput (wall_s, requests_per_sec) deliberately stays out — like
-   the phase totals, it varies run to run and never gates. *)
-let serve_metrics_of row =
-  let take name v acc = match v with Some f -> (name, f) :: acc | None -> acc in
-  []
-  |> take "latency.p50" (sub_num "latency" "p50" row)
-  |> take "latency.p99" (sub_num "latency" "p99" row)
-  |> take "total_cycles" (num "total_cycles" row)
-  |> take "groups.p50" (sub_num "groups" "p50" row)
-  |> take "groups.p99" (sub_num "groups" "p99" row)
-  |> take "groups.total" (sub_num "groups" "total" row)
-  |> take "fleet.gini" (sub_num "fleet" "gini" row)
-  |> take "fleet.max_mean" (sub_num "fleet" "max_mean" row)
-  |> take "cache_misses" (num "cache_misses" row)
-  |> take "incorrect" (num "incorrect" row)
-  |> take "rejected" (num "rejected" row)
-  |> List.rev
+let list key j = Option.bind (Json.member key j) Json.to_list
 
-let serve_rows_of j =
-  match Option.bind (Json.member "serve" j) Json.to_list with
-  | None -> []
-  | Some rows ->
-    List.map
+(* a metric name is its dotted path into the row object *)
+let metric j path =
+  List.fold_left
+    (fun acc key -> Option.bind acc (Json.member key))
+    (Some j) (String.split_on_char '.' path)
+  |> fun v -> Option.bind v Json.to_float
+
+(* One row kind per result array: the array key, the (benchmark, config,
+   metric object) keys of each element, and the cost metrics that gate.
+   Every metric is a cost (larger = worse); better-larger quantities and
+   wall-clock fields stay out of the lists:
+   - serve rows (plim-serve/v1) drop wall_s / requests_per_sec, which
+     vary run to run like the phase totals;
+   - horizon rows (plim-horizon/v1) drop the ttff / half-life lifetimes,
+     which would read as regressions when they improve;
+   - cert rows (plim-cert/v1) gate the write ceiling, per-cell rate bound
+     and levelling overhead (a larger one is a worse static guarantee),
+     not the [-1]-when-unbounded lifetime brackets;
+   - geometry rows gate group count, cross-row singletons, the widest
+     group and the instruction count; area is fixed by the grid choice,
+     which the key embeds.
+   The table order is the row order, so deltas keep file order. *)
+let kinds =
+  let labelled prefix row = [ (prefix ^ ":" ^ str "label" row, prefix, row) ] in
+  [ ( "benchmarks",
+      (fun b ->
+        List.map
+          (fun c -> (str "name" b, str "config" c, c))
+          (Option.value ~default:[] (list "configs" b))),
+      [ "instructions"; "rram_cells"; "writes.total"; "writes.max"; "writes.stdev";
+        "writes.p50"; "writes.p90"; "writes.p99"; "skew.gini"; "skew.max_mean";
+        "storage.total_span"; "storage.max_span"; "dead_writes" ] );
+    ( "serve",
+      labelled "serve",
+      [ "latency.p50"; "latency.p99"; "total_cycles"; "groups.p50"; "groups.p99";
+        "groups.total"; "fleet.gini"; "fleet.max_mean"; "cache_misses"; "incorrect";
+        "rejected" ] );
+    ( "horizon",
+      labelled "horizon",
+      [ "capacity_loss"; "dead_shards"; "skew.gini"; "skew.max_mean"; "sampled_epochs" ] );
+    ("cert", labelled "cert", [ "writes_upper"; "rate_cell_upper"; "overhead" ]);
+    ( "geometry",
       (fun row ->
-        let label =
-          Option.value ~default:"?"
-            (Option.bind (Json.member "label" row) Json.to_string)
-        in
-        { r_benchmark = "serve:" ^ label; r_config = "serve";
-          r_metrics = serve_metrics_of row })
-      rows
-
-(* plim-horizon/v1 rows: only cost-like metrics fold into the gate
-   (larger = worse).  Lifetimes (ttff, half-life) are better-larger and
-   would read as regressions when they improve, so they stay out of the
-   comparison and live in the row for humans and dashboards. *)
-let horizon_metrics_of row =
-  let take name v acc = match v with Some f -> (name, f) :: acc | None -> acc in
-  []
-  |> take "capacity_loss" (num "capacity_loss" row)
-  |> take "dead_shards" (num "dead_shards" row)
-  |> take "skew.gini" (sub_num "skew" "gini" row)
-  |> take "skew.max_mean" (sub_num "skew" "max_mean" row)
-  |> take "sampled_epochs" (num "sampled_epochs" row)
-  |> List.rev
-
-let horizon_rows_of j =
-  match Option.bind (Json.member "horizon" j) Json.to_list with
-  | None -> []
-  | Some rows ->
-    List.map
-      (fun row ->
-        let label =
-          Option.value ~default:"?"
-            (Option.bind (Json.member "label" row) Json.to_string)
-        in
-        { r_benchmark = "horizon:" ^ label; r_config = "horizon";
-          r_metrics = horizon_metrics_of row })
-      rows
-
-(* plim-bench/v2 "geometry" rows: the crossbar-geometry backend's
-   area/latency trade-off curve.  Group count and cross-row singletons
-   are cost metrics (smaller = better) and gate like instruction counts;
-   area is fixed by the grid choice, so it only gates against a baseline
-   run at the same grid (the key embeds the grid label). *)
-let geometry_metrics_of row =
-  let take name v acc = match v with Some f -> (name, f) :: acc | None -> acc in
-  []
-  |> take "groups" (num "groups" row)
-  |> take "cross_row" (num "cross_row" row)
-  |> take "max_group" (num "max_group" row)
-  |> take "instructions" (num "instructions" row)
-  |> List.rev
-
-let geometry_rows_of j =
-  match Option.bind (Json.member "geometry" j) Json.to_list with
-  | None -> []
-  | Some rows ->
-    List.map
-      (fun row ->
-        let str k =
-          Option.value ~default:"?" (Option.bind (Json.member k row) Json.to_string)
-        in
-        { r_benchmark = "geometry:" ^ str "benchmark" ^ "@" ^ str "grid";
-          r_config = str "config";
-          r_metrics = geometry_metrics_of row })
-      rows
-
-(* plim-cert/v1 rows: static wear-bound certificates as cert:<label>
-   pseudo-benchmarks.  Only cost-like quantities gate (a larger write
-   ceiling, per-cell rate bound or leveling overhead is a worse static
-   guarantee); the lifetime brackets are better-larger and [-1]-when-
-   unbounded, so they stay out of the regression comparison. *)
-let cert_metrics_of row =
-  let take name v acc = match v with Some f -> (name, f) :: acc | None -> acc in
-  []
-  |> take "writes_upper" (num "writes_upper" row)
-  |> take "rate_cell_upper" (num "rate_cell_upper" row)
-  |> take "overhead" (num "overhead" row)
-  |> List.rev
-
-let cert_rows_of j =
-  match Option.bind (Json.member "cert" j) Json.to_list with
-  | None -> []
-  | Some rows ->
-    List.map
-      (fun row ->
-        let label =
-          Option.value ~default:"?"
-            (Option.bind (Json.member "label" row) Json.to_string)
-        in
-        { r_benchmark = "cert:" ^ label; r_config = "cert";
-          r_metrics = cert_metrics_of row })
-      rows
+        let key = "geometry:" ^ str "benchmark" row ^ "@" ^ str "grid" row in
+        [ (key, str "config" row, row) ]),
+      [ "groups"; "cross_row"; "max_group"; "instructions" ] ) ]
 
 let rows_of j =
-  match Option.bind (Json.member "benchmarks" j) Json.to_list with
+  match list "benchmarks" j with
   | None -> Error "no \"benchmarks\" array (not a plim-bench file?)"
-  | Some benchmarks ->
-    let rows =
-      List.concat_map
-        (fun b ->
-          let name =
-            Option.value ~default:"?"
-              (Option.bind (Json.member "name" b) Json.to_string)
-          in
-          let configs =
-            Option.value ~default:[]
-              (Option.bind (Json.member "configs" b) Json.to_list)
-          in
-          List.map
-            (fun c ->
-              let config =
-                Option.value ~default:"?"
-                  (Option.bind (Json.member "config" c) Json.to_string)
-              in
-              { r_benchmark = name; r_config = config;
-                r_metrics = metrics_of_config c })
-            configs)
-        benchmarks
-    in
-    Ok (rows @ serve_rows_of j @ horizon_rows_of j @ cert_rows_of j
-        @ geometry_rows_of j)
+  | Some _ ->
+    Ok
+      (List.concat_map
+         (fun (array_key, keys_of, metrics) ->
+           List.concat_map
+             (fun element ->
+               List.map
+                 (fun (benchmark, config, obj) ->
+                   { r_benchmark = benchmark;
+                     r_config = config;
+                     r_metrics =
+                       List.filter_map
+                         (fun m -> Option.map (fun v -> (m, v)) (metric obj m))
+                         metrics })
+                 (keys_of element))
+             (Option.value ~default:[] (list array_key j)))
+         kinds)
+
+let schema_of j =
+  Option.value ~default:"unknown" (Option.bind (Json.member "schema" j) Json.to_str)
 
 let key r = r.r_benchmark ^ "/" ^ r.r_config
 
@@ -383,35 +289,20 @@ let render ?(verbose = false) c =
   Buffer.contents b
 
 let to_json c =
-  let quote = Plim_util.Jsonx.quote in
-  let b = Buffer.create 1024 in
-  Printf.bprintf b
-    "{\"schema\":\"plim-report/v1\",\"baseline\":%s,\"current\":%s,\"threshold_pct\":%g,\"compared\":%d,\"regressions\":["
-    (quote c.baseline_path) (quote c.current_path) c.threshold_pct
-    (List.length c.deltas);
-  let row i d =
-    if i > 0 then Buffer.add_char b ',';
-    Printf.bprintf b
-      "{\"benchmark\":%s,\"config\":%s,\"metric\":%s,\"baseline\":%.6g,\"current\":%.6g,\"change_pct\":%s,\"from_zero\":%b}"
-      (quote d.benchmark) (quote d.config) (quote d.metric) d.baseline d.current
-      (if d.from_zero then "null" else Printf.sprintf "%.6g" d.change_pct)
-      d.from_zero
+  let open Json in
+  let strings l = Arr (List.map (fun k -> Str k) l) in
+  let delta d =
+    Obj
+      [ ("benchmark", Str d.benchmark); ("config", Str d.config); ("metric", Str d.metric);
+        ("baseline", Float d.baseline); ("current", Float d.current);
+        ("change_pct", if d.from_zero then Null else Float d.change_pct);
+        ("from_zero", Bool d.from_zero) ]
   in
-  List.iteri row c.regressions;
-  Buffer.add_string b "],\"improvements\":[";
-  List.iteri row c.improvements;
-  let string_array ks =
-    List.iteri
-      (fun i k ->
-        if i > 0 then Buffer.add_char b ',';
-        Buffer.add_string b (quote k))
-      ks
-  in
-  Buffer.add_string b "],\"baseline_only\":[";
-  string_array c.baseline_only;
-  Buffer.add_string b "],\"current_only\":[";
-  string_array c.current_only;
-  Buffer.add_string b "],\"new_metrics\":[";
-  string_array c.new_metrics;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  Obj
+    [ ("schema", Str "plim-report/v1"); ("baseline", Str c.baseline_path);
+      ("current", Str c.current_path); ("threshold_pct", Float c.threshold_pct);
+      ("compared", Int (List.length c.deltas));
+      ("regressions", Arr (List.map delta c.regressions));
+      ("improvements", Arr (List.map delta c.improvements));
+      ("baseline_only", strings c.baseline_only); ("current_only", strings c.current_only);
+      ("new_metrics", strings c.new_metrics) ]

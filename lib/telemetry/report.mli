@@ -13,17 +13,17 @@
     identical files always report exactly zero regressions.  Wall-clock
     [phases] never gate.
 
-    [plim-serve/v1] rows (the ["serve"] array) are folded into the same
-    comparison as pseudo-benchmarks keyed ["serve:<label>"], tracking
-    latency quantiles, total cycles, group-latency quantiles (when the
-    fleet declares a crossbar geometry), fleet wear skew, cache misses
-    and failure counts; their wall-clock throughput fields are excluded
-    like the phases.
-
-    [plim-bench/v2] ["geometry"] rows — the crossbar-geometry backend's
-    area/latency trade-off curve — fold in as pseudo-benchmarks keyed
-    ["geometry:<benchmark>@<grid>"], gating on group count, cross-row
-    singletons, widest group and instruction count. *)
+    Besides the per-config ["benchmarks"] rows, the other result arrays
+    fold into the same comparison as pseudo-benchmarks, each described
+    once in a table of row kinds (array key, row key, cost metrics by
+    dotted path): ["serve"] rows as ["serve:<label>"] (latency and
+    group-latency quantiles, total cycles, fleet skew, cache misses,
+    failure counts), ["horizon"] rows as ["horizon:<label>"] (capacity
+    loss, dead shards, skew, sampled epochs), ["cert"] rows as
+    ["cert:<label>"] (write ceiling, per-cell rate bound, levelling
+    overhead) and ["geometry"] rows as ["geometry:<benchmark>@<grid>"]
+    (groups, cross-row singletons, widest group, instructions).
+    Wall-clock fields and better-larger lifetimes never gate. *)
 
 type delta = {
   benchmark : string;
@@ -81,8 +81,8 @@ val compare_json :
   ?min_abs:float ->
   baseline_path:string ->
   current_path:string ->
-  Json.t ->
-  Json.t ->
+  Plim_util.Json.t ->
+  Plim_util.Json.t ->
   (comparison, string) result
 (** Same on already-parsed documents (the paths only label the report). *)
 
@@ -93,5 +93,5 @@ val render : ?verbose:bool -> comparison -> string
     line (the CI grep target).  [verbose] lists every improvement
     instead of the top 10. *)
 
-val to_json : comparison -> string
+val to_json : comparison -> Plim_util.Json.t
 (** [plim-report/v1] JSON document of the comparison. *)

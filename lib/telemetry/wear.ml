@@ -33,9 +33,11 @@ let pp_skew ppf s =
     s.cells s.total s.max_writes s.mean s.stdev s.p99 s.gini s.max_mean
 
 let skew_json s =
-  Printf.sprintf
-    "{\"cells\":%d,\"total\":%d,\"max\":%d,\"mean\":%.6g,\"stdev\":%.6g,\"p99\":%d,\"gini\":%.6g,\"max_mean\":%.6g}"
-    s.cells s.total s.max_writes s.mean s.stdev s.p99 s.gini s.max_mean
+  let open Plim_util.Json in
+  Obj
+    [ ("cells", Int s.cells); ("total", Int s.total); ("max", Int s.max_writes);
+      ("mean", Float s.mean); ("stdev", Float s.stdev); ("p99", Int s.p99);
+      ("gini", Float s.gini); ("max_mean", Float s.max_mean) ]
 
 (* ten intensity levels: blank = untouched, '@' = the most-worn cell *)
 let shades = " .:-=+*#%@"
@@ -82,15 +84,7 @@ let heatmap_json ?width ~label counts =
     | Some _ -> invalid_arg "Wear.heatmap_json: width must be >= 1"
     | None -> default_width n
   in
-  let b = Buffer.create (n * 4 + 128) in
-  Printf.bprintf b "{\"label\":%s,\"width\":%d,\"skew\":%s,\"counts\":["
-    (Plim_util.Jsonx.quote label)
-    width
-    (skew_json (skew_of counts));
-  Array.iteri
-    (fun i c ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (string_of_int c))
-    counts;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  let open Plim_util.Json in
+  Obj
+    [ ("label", Str label); ("width", Int width); ("skew", skew_json (skew_of counts));
+      ("counts", Arr (Array.to_list (Array.map (fun c -> Int c) counts))) ]

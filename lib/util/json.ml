@@ -1,16 +1,92 @@
-(* Minimal JSON reader for the trajectory engine: just enough to load
-   plim-bench result files without adding a dependency the container
-   does not bake in.  Objects keep their key order; numbers are floats
-   (every numeric field in plim-bench fits a double exactly or is
-   already a float). *)
+(* The one JSON value type, printer and reader of the repo.  The reader
+   is dependency-free recursive descent: the container bakes in no JSON
+   library, and the artefacts it reads (plim-bench result files, horizon
+   rows) are small. *)
 
 type t =
   | Null
   | Bool of bool
-  | Num of float
+  | Int of int
+  | Float of float
   | Str of string
   | Arr of t list
   | Obj of (string * t) list
+  | Lit of string
+
+let fixed fmt x = if Float.is_finite x then Lit (Printf.sprintf fmt x) else Null
+
+(* --- printer ------------------------------------------------------------ *)
+
+(* Bytes >= 0x20 other than '"' and '\' pass through verbatim: labels
+   are treated as UTF-8 and JSON does not require escaping non-ASCII.
+   Control characters use the short escapes where JSON has them and
+   \u00XX otherwise, which is exactly the input language of the reader
+   below. *)
+let escape_into b s =
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | '\t' -> Buffer.add_string b "\\t"
+      | '\r' -> Buffer.add_string b "\\r"
+      | '\b' -> Buffer.add_string b "\\b"
+      | '\012' -> Buffer.add_string b "\\f"
+      | c when Char.code c < 0x20 -> Printf.bprintf b "\\u%04x" (Char.code c)
+      | c -> Buffer.add_char b c)
+    s
+
+let rec write b = function
+  | Null -> Buffer.add_string b "null"
+  | Bool v -> Buffer.add_string b (string_of_bool v)
+  | Int i -> Buffer.add_string b (string_of_int i)
+  | Float f ->
+    if Float.is_finite f then Printf.bprintf b "%.6g" f
+    else Buffer.add_string b "null"
+  | Lit s -> Buffer.add_string b s
+  | Str s ->
+    Buffer.add_char b '"';
+    escape_into b s;
+    Buffer.add_char b '"'
+  | Arr l ->
+    Buffer.add_char b '[';
+    List.iteri
+      (fun i v ->
+        if i > 0 then Buffer.add_char b ',';
+        write b v)
+      l;
+    Buffer.add_char b ']'
+  | Obj kvs ->
+    Buffer.add_char b '{';
+    List.iteri
+      (fun i (k, v) ->
+        if i > 0 then Buffer.add_char b ',';
+        write b (Str k);
+        Buffer.add_char b ':';
+        write b v)
+      kvs;
+    Buffer.add_char b '}'
+
+let to_string v =
+  let b = Buffer.create 256 in
+  write b v;
+  Buffer.contents b
+
+let to_string_rows = function
+  | Obj fields ->
+    let field (k, v) =
+      to_string (Str k) ^ ":"
+      ^
+      match v with
+      | Arr rows ->
+        "[" ^ String.concat "," (List.map (fun row -> "\n" ^ to_string row) rows) ^ "\n]"
+      | v -> to_string v
+    in
+    "{" ^ String.concat "," (List.map field fields) ^ "}"
+  | v -> to_string v
+
+(* --- reader ------------------------------------------------------------- *)
 
 exception Parse_error of string
 
@@ -101,20 +177,28 @@ let parse_exn s =
       if !pos = d0 then fail "expected digits"
     in
     digits ();
+    let fractional = ref false in
     (match peek () with
     | Some '.' ->
       advance ();
+      fractional := true;
       digits ()
     | _ -> ());
     (match peek () with
     | Some ('e' | 'E') ->
       advance ();
+      fractional := true;
       (match peek () with Some ('+' | '-') -> advance () | _ -> ());
       digits ()
     | _ -> ());
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> f
-    | None -> fail "bad number"
+    let lit = String.sub s start (!pos - start) in
+    (* integer literals stay exact; one too large for an int is a float *)
+    match int_of_string_opt lit with
+    | Some i when not !fractional -> Int i
+    | _ -> (
+      match float_of_string_opt lit with
+      | Some f -> Float f
+      | None -> fail "bad number")
   in
   (* The reader recurses once per nesting level, so an adversarial (or
      merely corrupted) input of a few hundred kilobytes of '[' would
@@ -180,7 +264,7 @@ let parse_exn s =
       | Some 't' -> literal "true" (Bool true)
       | Some 'f' -> literal "false" (Bool false)
       | Some 'n' -> literal "null" Null
-      | Some ('-' | '0' .. '9') -> Num (number ())
+      | Some ('-' | '0' .. '9') -> number ()
       | _ -> fail "unexpected token"
     in
     skip_ws ();
@@ -209,10 +293,11 @@ let parse_file path =
 let member key = function Obj kvs -> List.assoc_opt key kvs | _ -> None
 
 let to_float = function
-  | Num f -> Some f
+  | Int i -> Some (float_of_int i)
+  | Float f -> Some f
   | _ -> None
 
-let to_string = function
+let to_str = function
   | Str s -> Some s
   | _ -> None
 

@@ -1,23 +1,8 @@
-(** JSON string escaping shared by every hand-rolled JSON emitter.
-
-    The repo writes its machine-readable artefacts (bench rows, trace
-    events, lint reports, wear heatmaps, serve/horizon rows) with
-    [Printf] rather than a JSON library; any string interpolated into
-    those documents must be escaped through this module or a label
-    containing ['"'] or ['\\'] corrupts the output.
-
-    The escape language matches what {!Plim_telemetry.Json} accepts:
-    short escapes for ["\"\\\n\t\r\b\012"], [\u00XX] for the remaining
-    control bytes, everything else verbatim (UTF-8 passes through).
-    [parse (quote s) = Str s] for every byte string [s]. *)
-
-val escape_into : Buffer.t -> string -> unit
-(** Append the escaped form of the string — without quotes — to the
-    buffer. *)
-
-val escape : string -> string
-(** The escaped form, without surrounding quotes. *)
+(** A JSON string literal for callers that assemble a document outside
+    {!Json}: [quote s = Json.to_string (Json.Str s)], so
+    [Json.parse (quote s) = Ok (Str s)] for every byte string [s].
+    Everything the library emits is built as a {!Json.t} instead. *)
 
 val quote : string -> string
-(** The escaped form wrapped in double quotes: a complete JSON string
-    literal. *)
+(** The escaped form of the string wrapped in double quotes: a complete
+    JSON string literal. *)

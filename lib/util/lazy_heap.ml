@@ -77,10 +77,6 @@ let rec drop_stale t =
     drop_stale t
   end
 
-let peek_min t =
-  drop_stale t;
-  if t.len = 0 then None else Some (t.heap.(0).key, t.heap.(0).elt)
-
 let pop_min t =
   drop_stale t;
   if t.len = 0 then None

@@ -26,8 +26,6 @@ val remove : t -> int -> unit
 val pop_min : t -> (key * int) option
 (** Removes and returns the live minimum, skipping stale entries. *)
 
-val peek_min : t -> (key * int) option
-
 val is_empty : t -> bool
 (** True when no live element remains. *)
 

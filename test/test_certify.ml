@@ -17,7 +17,7 @@ module Program = Plim_isa.Program
 module I = Plim_isa.Instruction
 module Pipeline = Plim_core.Pipeline
 module Suite = Plim_benchgen.Suite
-module Json = Plim_telemetry.Json
+module Json = Plim_util.Json
 
 let check_bool = Alcotest.(check bool)
 let qc = QCheck_alcotest.to_alcotest
@@ -217,7 +217,7 @@ let test_row_json_shape () =
       ~fault_rates:[ 0.0 ]
   with
   | [ (_, _, c) ] ->
-    let row = C.row_json c in
+    let row = Json.to_string (C.row_json c) in
     List.iter
       (fun needle -> check_bool needle true (Helpers.contains ~needle row))
       [ "\"schema\":\"plim-cert/v1\""; "\"strategy\":\"start_gap\"";
@@ -225,7 +225,7 @@ let test_row_json_shape () =
         "\"programs\":[" ];
     check_bool "label override" true
       (Helpers.contains ~needle:"\"label\":\"start_gap/r0/exec\""
-         (C.row_json ~label:(C.label c ^ "/exec") c))
+         (Json.to_string (C.row_json ~label:(C.label c ^ "/exec") c)))
   | _ -> Alcotest.fail "expected one grid cell"
 
 let test_check_row_json_round_trip () =

@@ -155,9 +155,152 @@ let test_effort_monotone () =
   let s5 = Mig.size (Recipe.run Recipe.Algorithm2 ~effort:5 g) in
   check_bool "effort 5 <= effort 1 size" true (s5 <= s1)
 
+(* --- byte pin of every library JSON emitter -------------------------------
+
+   Digests of each emitter's output for fixed deterministic inputs,
+   recorded on the commit before the emitters moved from hand-spliced
+   strings to Plim_util.Json values.  Any change to a field, its order
+   or its number format shows up here as a digest mismatch. *)
+
+module Json = Plim_util.Json
+module H = Plim_serve.Horizon
+module C = Plim_certify
+module Server = Plim_serve.Server
+module Workload = Plim_serve.Workload
+module Hgram = Plim_telemetry.Histogram
+module Wear = Plim_telemetry.Wear
+module Metrics = Plim_obs.Metrics
+module Campaign = Plim_machine.Campaign
+module Fault_model = Plim_fault.Fault_model
+module Report = Plim_telemetry.Report
+module I = Plim_isa.Instruction
+
+let report_base =
+  {|{"schema":"plim-bench/v2","benchmarks":[
+{"name":"a\"b","configs":[{"config":"naive","instructions":100,"rram_cells":10,"writes":{"total":100,"max":9,"stdev":1.5,"p50":3,"p90":7,"p99":9},"skew":{"gini":0.25,"max_mean":1.8},"storage":{"total_span":400,"max_span":40},"dead_writes":0},{"config":"gone","instructions":5}]}],
+"serve":[{"label":"steady","latency":{"p50":40,"p99":90},"total_cycles":5000,"fleet":{"gini":0.1,"max_mean":1.2},"cache_misses":4,"incorrect":0,"rejected":0}],
+"horizon":[{"label":"none/r0","capacity_loss":0.5,"dead_shards":1,"skew":{"gini":0.3,"max_mean":2},"sampled_epochs":12}],
+"cert":[{"label":"none/r0","writes_upper":1000,"rate_cell_upper":0.125,"overhead":1}],
+"geometry":[{"benchmark":"adder8","config":"endurance-full","grid":"8x8","groups":50,"cross_row":3,"max_group":4,"instructions":90}]}|}
+
+(* one cost regression per row kind, a zero-baseline growth, two
+   improvements, a vanished and a new row, and three new metrics *)
+let report_cur =
+  {|{"schema":"plim-bench/v2","benchmarks":[
+{"name":"a\"b","configs":[{"config":"naive","instructions":130,"rram_cells":10,"writes":{"total":100,"max":7,"stdev":1.5,"p50":3,"p90":7,"p99":9,"mean":1},"skew":{"gini":0.25,"max_mean":1.8},"storage":{"total_span":400,"max_span":40},"dead_writes":2},{"config":"fresh","instructions":5}]}],
+"serve":[{"label":"steady","latency":{"p50":40,"p99":99},"total_cycles":5000,"groups":{"p50":3,"p99":5,"total":80},"fleet":{"gini":0.1,"max_mean":1.2},"cache_misses":4,"incorrect":0,"rejected":0}],
+"horizon":[{"label":"none/r0","capacity_loss":0.25,"dead_shards":1,"skew":{"gini":0.3,"max_mean":2},"sampled_epochs":12}],
+"cert":[{"label":"none/r0","writes_upper":1000,"rate_cell_upper":0.25,"overhead":1}],
+"geometry":[{"benchmark":"adder8","config":"endurance-full","grid":"8x8","groups":50,"cross_row":3,"max_group":4,"instructions":90}]}|}
+
+(* computed once, by the first test of the binary: the metrics exposition
+   lists every registered metric, so it must run before other tests
+   register theirs *)
+let artifacts =
+  lazy
+    (let text = Json.to_string in
+     Metrics.reset ();
+     let c = Metrics.counter "pin.count"
+     and g = Metrics.gauge "pin.level"
+     and h = Metrics.histogram "pin.hist" in
+     Metrics.incr ~by:3 c;
+     Metrics.set_gauge g 2.5;
+     Metrics.observe_array h [| 1; 5; 40; 40; 900 |];
+     let metrics = text (Metrics.to_json ()) in
+     Metrics.reset ();
+     let stream = Workload.generate ~seed:5 ~requests:30 Helpers.mix4 in
+     let server, _ = Helpers.run_server Helpers.quiet_config stream in
+     let gserver, _ =
+       Helpers.run_server
+         { Helpers.quiet_config with
+           Server.geometry = Some (Result.get_ok (Plim_geometry.make ~rows:64 ~cols:16)) }
+         stream
+     in
+     let hcfg =
+       { H.default_config with
+         H.mix = { Helpers.mix4 with Workload.compile_ratio = 0.0 };
+         endurance = 5e4;
+         sample_every = 500.0;
+         max_epochs = 10_000.0 }
+     in
+     let strategies = [ H.No_leveling; H.Start_gap ] and fault_rates = [ 0.0; 0.02 ] in
+     let cells = H.grid hcfg ~strategies ~fault_rates in
+     let certs = C.grid hcfg ~strategies ~fault_rates in
+     let p = Helpers.adder4_program () in
+     (* cell 2 is written and never read: one dead-write diagnostic *)
+     let dead =
+       Program.make
+         ~instrs:
+           [| I.set_const true 1; I.set_const false 2;
+              I.rm3 ~a:(I.Cell 0) ~b:(I.Const false) ~z:1 |]
+         ~num_cells:3 ~pi_cells:[| ("a", 0) |] ~po_cells:[| ("y", 1) |]
+     in
+     let counts = Program.static_write_counts p in
+     let d =
+       let g = Suite.build_cached (Suite.find "dec4") in
+       Campaign.run_degraded ~seed:0x7EAC ~max_executions:60 ~sample_every:10
+         ~endurance:500 ~spares:4 ~verify:true
+         ~fault_spec:(Fault_model.make ~transient:1e-3 ~seed:0x11 ())
+         (Pipeline.compile Pipeline.endurance_full g).Pipeline.program
+     in
+     let report =
+       match
+         Report.compare_json ~threshold_pct:2.0 ~baseline_path:"base.json"
+           ~current_path:"cur.json" (Json.parse_exn report_base)
+           (Json.parse_exn report_cur)
+       with
+       | Ok c -> text (Report.to_json c)
+       | Error e -> failwith e
+     in
+     let lines = String.concat "\n" in
+     let first l = match l with (_, _, x) :: _ -> x | [] -> assert false in
+     [ ("serve row", text (Server.row_json server ~label:"pin" ~wall_s:0.0));
+       ("serve row geometry", text (Server.row_json gserver ~label:"pin/g" ~wall_s:0.0));
+       ("fleet heatmap", text (Server.fleet_heatmap_json server));
+       ( "horizon rows",
+         lines
+           (List.map (fun (_, _, r) -> H.row_json r) cells
+           @ [ H.row_json ~label:"x/exec" (first cells) ]) );
+       ( "cert rows",
+         lines
+           (List.map (fun (_, _, c) -> text (C.row_json c)) certs
+           @ [ text (C.row_json ~label:"x/exec" (first certs)) ]) );
+       ( "lint",
+         lines
+           [ text (Plim_analyze.to_json ~source:"adder4" p (Plim_analyze.analyze p));
+             text (Plim_analyze.to_json ~source:"dead" dead (Plim_analyze.analyze dead)) ] );
+       ("histogram", text (Hgram.to_json (Hgram.of_array counts)));
+       ( "wear heatmap",
+         lines
+           [ text (Wear.heatmap_json ~label:"pin \"q\"" counts);
+             text (Wear.heatmap_json ~width:7 ~label:"w7" counts) ] );
+       ("trajectory", text (Campaign.trajectory_json d.Campaign.trajectory));
+       ("metrics", metrics);
+       ("report", report) ])
+
+let pinned =
+  [ ("serve row", "fb0bf69e4830281b0d7737ec30ef791c");
+    ("serve row geometry", "413c94aa485c54118723f574a4be0766");
+    ("fleet heatmap", "0350c23fd7ff1f9e33fb2441797451ba");
+    ("horizon rows", "06ab3874a03987e2de0088c1bfc27e37");
+    ("cert rows", "fbc8c444bf849584442e1cf224e75849");
+    ("lint", "827b223dd24234c918e8304f07558a0b");
+    ("histogram", "ced85980b4260b8c60a46fba63d67602");
+    ("wear heatmap", "a37bb457de9dff24950aa7bd73bfadae");
+    ("trajectory", "b40259f264844656e1a12266bdd0ffca");
+    ("metrics", "8eb6b94df64b36cbf0f6a05923fc2d0e");
+    ("report", "4e8c7a7ca4dba77d01fcde1554040bda") ]
+
+let pin_case (name, digest) =
+  Alcotest.test_case name `Quick (fun () ->
+      let out = List.assoc name (Lazy.force artifacts) in
+      Alcotest.(check string) (name ^ " digest") digest
+        (Digest.to_hex (Digest.string out)))
+
 let () =
   Alcotest.run "integration"
-    [ ( "end-to-end",
+    [ ("json-pin", List.map pin_case pinned);
+      ( "end-to-end",
         [ Alcotest.test_case "small suite x all presets" `Slow test_small_suite_all_presets;
           Alcotest.test_case "cap bounds writes" `Quick test_cap_bounds_writes_on_suite;
           Alcotest.test_case "stdev improvement direction" `Slow

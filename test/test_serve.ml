@@ -5,6 +5,7 @@ module Server = Plim_serve.Server
 module Suite = Plim_benchgen.Suite
 module Fault_model = Plim_fault.Fault_model
 module Hgram = Plim_telemetry.Histogram
+module Json = Plim_util.Json
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -200,8 +201,8 @@ let test_server_jobs_identical () =
   check_bool "latency identical" true
     (Hgram.equal (Server.latency s1) (Server.latency s3));
   Alcotest.(check string) "result rows identical"
-    (Server.row_json s1 ~label:"t" ~wall_s:0.0)
-    (Server.row_json s3 ~label:"t" ~wall_s:0.0)
+    (Json.to_string (Server.row_json s1 ~label:"t" ~wall_s:0.0))
+    (Json.to_string (Server.row_json s3 ~label:"t" ~wall_s:0.0))
 
 let test_server_batch_size_invariant () =
   let stream = Workload.generate ~seed:33 ~requests:80 mix4 in
@@ -267,28 +268,28 @@ let test_server_organic_retirement () =
 let test_row_json_shape () =
   let stream = Workload.generate ~seed:5 ~requests:30 mix4 in
   let server, _ = run_server quiet_config stream in
-  let row = Server.row_json server ~label:"unit" ~wall_s:0.0 in
-  match Plim_telemetry.Json.parse row with
+  let row = Json.to_string (Server.row_json server ~label:"unit" ~wall_s:0.0) in
+  match Json.parse row with
   | Error e -> Alcotest.failf "row_json does not parse: %s" e
   | Ok j ->
-    let str k = Option.bind (Plim_telemetry.Json.member k j) Plim_telemetry.Json.to_string in
-    let num k = Option.bind (Plim_telemetry.Json.member k j) Plim_telemetry.Json.to_float in
+    let str k = Option.bind (Json.member k j) Json.to_str in
+    let num k = Option.bind (Json.member k j) Json.to_float in
     Alcotest.(check (option string)) "schema" (Some "plim-serve/v1") (str "schema");
     Alcotest.(check (option string)) "label" (Some "unit") (str "label");
     check_bool "latency object present" true
-      (Option.is_some (Plim_telemetry.Json.member "latency" j));
+      (Option.is_some (Json.member "latency" j));
     check_bool "fleet object present" true
-      (Option.is_some (Plim_telemetry.Json.member "fleet" j));
+      (Option.is_some (Json.member "fleet" j));
     Alcotest.(check (option (float 0.0))) "deterministic wall zeroed" (Some 0.0)
       (num "requests_per_sec")
 
 let test_fleet_heatmap_json () =
   let stream = Workload.generate ~seed:5 ~requests:30 mix4 in
   let server, _ = run_server quiet_config stream in
-  match Plim_telemetry.Json.parse (Server.fleet_heatmap_json server) with
+  match Json.parse (Json.to_string (Server.fleet_heatmap_json server)) with
   | Error e -> Alcotest.failf "heatmap json does not parse: %s" e
   | Ok j ->
-    (match Option.bind (Plim_telemetry.Json.member "shards" j) Plim_telemetry.Json.to_list with
+    (match Option.bind (Json.member "shards" j) Json.to_list with
     | Some shards ->
       check_int "one heatmap per shard"
         (quiet_config.Server.shards + quiet_config.Server.spare_shards)

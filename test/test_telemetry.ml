@@ -5,7 +5,7 @@
 module Hgram = Plim_telemetry.Histogram
 module Series = Plim_telemetry.Series
 module Wear = Plim_telemetry.Wear
-module Json = Plim_telemetry.Json
+module Json = Plim_util.Json
 module Report = Plim_telemetry.Report
 module Stats = Plim_stats.Stats
 module Splitmix = Plim_util.Splitmix
@@ -136,7 +136,8 @@ let test_hist_par_determinism () =
   let j1 = fold_with 1 and j4 = fold_with 4 in
   check_bool "-j1 = sequential" true (Hgram.equal seq j1);
   check_bool "-j4 = -j1" true (Hgram.equal j1 j4);
-  Alcotest.(check string) "identical JSON" (Hgram.to_json j1) (Hgram.to_json j4)
+  Alcotest.(check string) "identical JSON" (Json.to_string (Hgram.to_json j1))
+    (Json.to_string (Hgram.to_json j4))
 
 (* --- series ------------------------------------------------------------ *)
 
@@ -198,12 +199,12 @@ let test_wear_heatmap () =
   (* 40 cells at width 8 = 5 rows + legend *)
   check_int "row count" 6
     (List.length (String.split_on_char '\n' (String.trim text)));
-  let j = Wear.heatmap_json ~width:8 ~label:"t" counts in
+  let j = Json.to_string (Wear.heatmap_json ~width:8 ~label:"t" counts) in
   match Json.parse j with
   | Error e -> Alcotest.failf "heatmap_json unparsable: %s" e
   | Ok doc ->
     Alcotest.(check (option string)) "label" (Some "t")
-      (Option.bind (Json.member "label" doc) Json.to_string);
+      (Option.bind (Json.member "label" doc) Json.to_str);
     (match Option.bind (Json.member "counts" doc) Json.to_list with
     | Some l -> check_int "counts roundtrip" 40 (List.length l)
     | None -> Alcotest.fail "no counts array");
@@ -225,7 +226,7 @@ let test_json_parse () =
       Alcotest.(check (float 1e-9)) "exp" (-300.0) (Option.get (Json.to_float z))
     | _ -> Alcotest.fail "array shape");
     Alcotest.(check (option string)) "escapes" (Some "x\ny")
-      (Option.bind (Json.member "s" j) Json.to_string);
+      (Option.bind (Json.member "s" j) Json.to_str);
     check_bool "missing member" true (Json.member "zz" j = None));
   List.iter
     (fun bad ->
@@ -383,7 +384,7 @@ let test_report_new_metrics () =
     check_bool "render mentions new metrics" true
       (contains ~affix:"new metric" (Report.render c));
     check_bool "to_json carries new_metrics" true
-      (contains ~affix:"new_metrics" (Report.to_json c));
+      (contains ~affix:"new_metrics" (Json.to_string (Report.to_json c)));
     (* identical docs: nothing is new *)
     (match
        Report.compare_json ~baseline_path:"a" ~current_path:"b" (parse_exn cur)
@@ -474,7 +475,7 @@ let test_report_from_zero () =
     let txt = Report.render c in
     check_bool "render marks zero-baseline growth" true
       (contains ~affix:"from 0" txt);
-    let j = Report.to_json c in
+    let j = Json.to_string (Report.to_json c) in
     check_bool "JSON uses null, not a sentinel pct" true
       (contains ~affix:{|"change_pct":null|} j);
     check_bool "JSON carries from_zero" true
@@ -541,7 +542,7 @@ let prop_jsonx_roundtrip_in_object =
           (Plim_util.Jsonx.quote v)
       in
       match Json.parse doc with
-      | Ok j -> Option.bind (Json.member k j) Json.to_string = Some v
+      | Ok j -> Option.bind (Json.member k j) Json.to_str = Some v
       | Error _ -> false)
 
 (* --- metrics registry exposition ---------------------------------------- *)
@@ -556,7 +557,7 @@ let test_metrics_histogram () =
   (match List.assoc_opt "test.latency" entries with
   | Some (Metrics.Hist hv) -> check_int "snapshot copy" 3 (Hgram.count hv)
   | _ -> Alcotest.fail "histogram missing from snapshot");
-  let json = Metrics.to_json () in
+  let json = Json.to_string (Metrics.to_json ()) in
   check_bool "single exposition schema" true (contains ~affix:"plim-metrics/v1" json);
   check_bool "histogram in JSON dump" true (contains ~affix:"\"test.latency\":{" json);
   (match Json.parse json with
@@ -605,9 +606,9 @@ let test_campaign_trajectory () =
      byte-identical, which is what keeps -j 1 == -j N *)
   let d' = run () in
   Alcotest.(check string) "replay identical"
-    (Campaign.trajectory_json traj)
-    (Campaign.trajectory_json d'.Campaign.trajectory);
-  match Json.parse (Campaign.trajectory_json traj) with
+    (Json.to_string (Campaign.trajectory_json traj))
+    (Json.to_string (Campaign.trajectory_json d'.Campaign.trajectory));
+  match Json.parse (Json.to_string (Campaign.trajectory_json traj)) with
   | Ok (Json.Arr l) -> check_int "JSON points" (List.length traj) (List.length l)
   | Ok _ -> Alcotest.fail "trajectory JSON is not an array"
   | Error e -> Alcotest.failf "trajectory JSON unparsable: %s" e

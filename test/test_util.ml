@@ -330,21 +330,76 @@ let test_lifetime () =
 
 let test_jsonx_escape () =
   let module J = Plim_util.Jsonx in
-  Alcotest.(check string) "plain passthrough" "abc" (J.escape "abc");
-  Alcotest.(check string) "quote" {|a\"b|} (J.escape "a\"b");
-  Alcotest.(check string) "backslash" {|a\\b|} (J.escape "a\\b");
-  Alcotest.(check string) "short escapes" {|\n\t\r\b\f|} (J.escape "\n\t\r\b\012");
-  Alcotest.(check string) "other control bytes get \\u00XX" {|\u0000\u0001\u001f|}
-    (J.escape "\000\001\031");
+  Alcotest.(check string) "plain passthrough" {|"abc"|} (J.quote "abc");
+  Alcotest.(check string) "quote" {|"a\"b"|} (J.quote "a\"b");
+  Alcotest.(check string) "backslash" {|"a\\b"|} (J.quote "a\\b");
+  Alcotest.(check string) "short escapes" {|"\n\t\r\b\f"|} (J.quote "\n\t\r\b\012");
+  Alcotest.(check string) "other control bytes get \\u00XX" {|"\u0000\u0001\u001f"|}
+    (J.quote "\000\001\031");
   (* 0x7f and non-ASCII bytes are not control characters: UTF-8 payloads
      pass through untouched *)
-  Alcotest.(check string) "utf-8 passthrough" "caf\xc3\xa9 \x7f"
-    (J.escape "caf\xc3\xa9 \x7f");
-  Alcotest.(check string) "quote wraps" {|"a\"b"|} (J.quote "a\"b");
-  let b = Buffer.create 8 in
-  J.escape_into b "x\n";
-  J.escape_into b "\"y";
-  Alcotest.(check string) "escape_into appends" {|x\n\"y|} (Buffer.contents b)
+  Alcotest.(check string) "utf-8 passthrough" "\"caf\xc3\xa9 \x7f\""
+    (J.quote "caf\xc3\xa9 \x7f");
+  (* Jsonx.quote is the printer's own string escaping *)
+  Alcotest.(check string) "same as the printer" {|["x\n","\"y"]|}
+    (Plim_util.Json.to_string Plim_util.Json.(Arr [ Str "x\n"; Str "\"y" ]))
+
+(* --- Json --------------------------------------------------------------- *)
+
+module Json = Plim_util.Json
+
+(* Int / Str / Arr / Obj trees: the values whose printed form is exact
+   (floats print as %.6g and round-trip only to six digits) *)
+let json_gen =
+  let open QCheck.Gen in
+  let str = string_size ~gen:char (int_range 0 8) in
+  sized_size (int_range 0 4)
+  @@ fix (fun self n ->
+         let leaf = oneof [ map (fun i -> Json.Int i) int; map (fun s -> Json.Str s) str ] in
+         if n = 0 then leaf
+         else
+           frequency
+             [ (2, leaf);
+               (1, map (fun l -> Json.Arr l) (list_size (int_range 0 4) (self (n - 1))));
+               ( 1,
+                 map
+                   (fun l -> Json.Obj l)
+                   (list_size (int_range 0 4) (pair str (self (n - 1)))) ) ])
+
+let json_round_trip =
+  QCheck.Test.make ~count:300 ~name:"parse inverts to_string on Int/Str/Arr/Obj"
+    (QCheck.make ~print:Json.to_string json_gen)
+    (fun v -> Json.parse_exn (Json.to_string v) = v)
+
+let test_json_numbers () =
+  let p = Json.parse_exn in
+  check_bool "integer literal is Int" true (p "42" = Json.Int 42);
+  check_bool "negative integer is Int" true (p "-7" = Json.Int (-7));
+  check_bool "fraction is Float" true (p "2.5" = Json.Float 2.5);
+  check_bool "exponent is Float" true (p "1e3" = Json.Float 1000.0);
+  check_bool "integer beyond int range is Float" true
+    (p "123456789012345678901234567890" = Json.Float 123456789012345678901234567890.0);
+  check_bool "to_float reads Int" true (Json.to_float (Json.Int 3) = Some 3.0);
+  Alcotest.(check string) "%.6g floats" {|[0.1,1,1e+20,-2.5,3.14159]|}
+    (Json.to_string
+       (Json.Arr (List.map (fun f -> Json.Float f) [ 0.1; 1.0; 1e20; -2.5; 3.14159265 ])));
+  Alcotest.(check string) "fixed format" {|[0.500,"x"]|}
+    (Json.to_string (Json.Arr [ Json.fixed "%.3f" 0.5; Json.Str "x" ]))
+
+(* JSON has no nan or inf: every non-finite float prints as null, so no
+   artefact can carry a token the reader (or any other) rejects *)
+let test_json_non_finite () =
+  List.iter
+    (fun f ->
+      Alcotest.(check string) (Printf.sprintf "Float %g" f) "null"
+        (Json.to_string (Json.Float f));
+      Alcotest.(check string) (Printf.sprintf "fixed %g" f) "null"
+        (Json.to_string (Json.fixed "%.17g" f)))
+    [ Float.nan; Float.infinity; Float.neg_infinity ];
+  let doc = Json.to_string (Json.Obj [ ("endurance", Json.Float Float.infinity) ]) in
+  Alcotest.(check string) "in an object" {|{"endurance":null}|} doc;
+  check_bool "reads back as null" true
+    (Json.member "endurance" (Json.parse_exn doc) = Some Json.Null)
 
 (* --- Csv --------------------------------------------------------------- *)
 
@@ -401,6 +456,10 @@ let () =
       ("lifetime", [ Alcotest.test_case "estimates" `Quick test_lifetime ]);
       ( "jsonx",
         [ Alcotest.test_case "escape vectors" `Quick test_jsonx_escape ] );
+      ( "json",
+        [ Alcotest.test_case "numbers" `Quick test_json_numbers;
+          Alcotest.test_case "non-finite floats print null" `Quick test_json_non_finite;
+          qc json_round_trip ] );
       ( "csv",
         [ Alcotest.test_case "escaping" `Quick test_csv_escape;
           Alcotest.test_case "table" `Quick test_csv_table ] ) ]
