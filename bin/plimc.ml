@@ -202,6 +202,19 @@ let finite_float =
   in
   Arg.conv (parse, Arg.conv_printer Arg.float)
 
+(* A finite float restricted further by [ok]; anything else is a usage
+   error (exit 2) naming what was expected. *)
+let checked_float ok what =
+  let parse s =
+    match Arg.conv_parser finite_float s with
+    | Ok f when not (ok f) -> Error (`Msg (Printf.sprintf "%S is not %s" s what))
+    | r -> r
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.float)
+
+let rate_float = checked_float (fun f -> f >= 0.0 && f <= 1.0) "a rate in [0, 1]"
+let non_negative_float = checked_float (fun f -> f >= 0.0) "a non-negative number"
+
 let strategy_conv =
   Arg.conv
     ( (fun s ->
@@ -934,13 +947,13 @@ let report_cmd =
              ~doc:"Baseline results file to diff $(i,CURRENT) against.")
   in
   let threshold =
-    Arg.(value & opt finite_float 2.0
+    Arg.(value & opt non_negative_float 2.0
          & info [ "threshold" ] ~docv:"PCT"
              ~doc:"Relative growth (percent) a metric must exceed to count as a \
                    regression.")
   in
   let min_abs =
-    Arg.(value & opt finite_float 1e-9
+    Arg.(value & opt non_negative_float 1e-9
          & info [ "min-abs" ] ~docv:"X"
              ~doc:"Absolute growth floor below which a delta never gates; \
                    identical runs always report zero regressions.")
@@ -1287,10 +1300,10 @@ let horizon_cmd =
                    default: all four).")
   in
   let rates =
-    Arg.(value & opt_all float []
+    Arg.(value & opt_all rate_float []
          & info [ "rate" ] ~docv:"R"
-             ~doc:"Permanent-fault rate of the wear model (repeatable; \
-                   default: 0).")
+             ~doc:"Permanent-fault rate of the wear model, in [0, 1] \
+                   (repeatable; default: 0).")
   in
   let endurance =
     Arg.(value & opt finite_float 2e5
@@ -1532,10 +1545,10 @@ let certify_cmd =
                    default: all four).")
   in
   let rates =
-    Arg.(value & opt_all float []
+    Arg.(value & opt_all rate_float []
          & info [ "rate" ] ~docv:"R"
-             ~doc:"Permanent-fault rate of the wear model (repeatable; \
-                   default: 0).")
+             ~doc:"Permanent-fault rate of the wear model, in [0, 1] \
+                   (repeatable; default: 0).")
   in
   let endurance =
     Arg.(value & opt finite_float 2e5

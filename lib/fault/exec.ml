@@ -1,6 +1,7 @@
 module Program = Plim_isa.Program
 module I = Plim_isa.Instruction
 module Metrics = Plim_obs.Metrics
+module Crossbar = Plim_rram.Crossbar
 
 type stats = {
   verify_reads : int;
@@ -34,39 +35,34 @@ let run ?(verify = false) ?(max_retries = 2) ?(reset = true) fx rm (p : Program.
   and detections = ref 0
   and remaps = ref 0
   and retries = ref 0 in
-  (* Write-verify loop shared by loads, input deposits and RM3 results:
-     [put pa] performs the raw operation on physical line [pa]; [rewrite]
-     re-deposits the intended value on retries and spares. *)
-  let verified l ~intended ~put ~rewrite =
-    put (Remap.physical rm l);
-    if verify then begin
-      let rec check tries =
-        incr verify_reads;
-        Metrics.incr m_verify_reads;
-        let pa = Remap.physical rm l in
-        if Faulty.read fx pa <> intended then
-          if tries < max_retries then begin
-            incr retries;
-            rewrite pa;
-            check (tries + 1)
-          end
-          else begin
-            incr detections;
-            Metrics.incr m_detections;
-            match Remap.retire rm l with
-            | None -> raise (Pool_dry l)
-            | Some spare ->
-              incr remaps;
-              rewrite spare;
-              check 0
-          end
-      in
-      check 0
-    end
+  (* Re-deposit the intended value on physical line [pa]: a load for
+     scrub and input deposits, a plain write for RM3 results. *)
+  let redeposit ~load pa v = if load then Faulty.load fx pa v else Faulty.write fx pa v in
+  (* Write-verify after the raw operation on logical line [l]: read back,
+     rewrite in place up to [max_retries] times, then retire the line onto
+     a spare and re-verify there.  Allocation-free on the common path. *)
+  let rec settle ~load l intended tries =
+    incr verify_reads;
+    let pa = Remap.physical rm l in
+    if Faulty.read fx pa <> intended then
+      if tries < max_retries then begin
+        incr retries;
+        redeposit ~load pa intended;
+        settle ~load l intended (tries + 1)
+      end
+      else begin
+        incr detections;
+        match Remap.retire rm l with
+        | None -> raise (Pool_dry l)
+        | Some spare ->
+          incr remaps;
+          redeposit ~load spare intended;
+          settle ~load l intended 0
+      end
   in
   let verified_load l v =
-    verified l ~intended:v ~put:(fun pa -> Faulty.load fx pa v)
-      ~rewrite:(fun pa -> Faulty.load fx pa v)
+    Faulty.load fx (Remap.physical rm l) v;
+    if verify then settle ~load:true l v 0
   in
   (* Input-binding validation mirrors Plim_controller.run and happens before
      any array operation, so a bad binding never consumes spares. *)
@@ -88,7 +84,13 @@ let run ?(verify = false) ?(max_retries = 2) ?(reset = true) fx rm (p : Program.
       p.Program.pi_cells
   in
   if Hashtbl.length bound > 0 then invalid_arg "Exec.run: unknown extra inputs";
+  let operand = function
+    | I.Const v -> v
+    | I.Cell c -> Faulty.read fx (Remap.physical rm c)
+  in
+  let instrs = p.Program.instrs in
   let outcome =
+    Crossbar.publishing (Faulty.base fx) @@ fun () ->
     try
       (* power-on reset / scrub: compiled programs assume all-HRS state *)
       if reset then
@@ -97,24 +99,18 @@ let run ?(verify = false) ?(max_retries = 2) ?(reset = true) fx rm (p : Program.
         done;
       Array.iter (fun (cell, v) -> verified_load cell v) pi_values;
       (* instruction stream *)
-      let read_operand = function
-        | I.Const v -> v
-        | I.Cell c -> Faulty.read fx (Remap.physical rm c)
-      in
-      Array.iter
-        (fun (instr : I.t) ->
-          let a = read_operand instr.I.a in
-          let b = read_operand instr.I.b in
-          let l = instr.I.z in
-          if verify then begin
-            let z = Faulty.read fx (Remap.physical rm l) in
-            let intended = I.semantics ~a ~b ~z in
-            verified l ~intended
-              ~put:(fun pa -> Faulty.rm3 fx ~p:a ~q:b pa)
-              ~rewrite:(fun pa -> Faulty.write fx pa intended)
-          end
-          else Faulty.rm3 fx ~p:a ~q:b (Remap.physical rm l))
-        p.Program.instrs;
+      for k = 0 to Array.length instrs - 1 do
+        let instr = instrs.(k) in
+        let a = operand instr.I.a in
+        let b = operand instr.I.b in
+        let l = instr.I.z in
+        if verify then begin
+          let intended = I.semantics ~a ~b ~z:(Faulty.read fx (Remap.physical rm l)) in
+          Faulty.rm3 fx ~p:a ~q:b (Remap.physical rm l);
+          settle ~load:false l intended 0
+        end
+        else Faulty.rm3 fx ~p:a ~q:b (Remap.physical rm l)
+      done;
       Completed
         (Array.to_list
            (Array.map
@@ -122,6 +118,9 @@ let run ?(verify = false) ?(max_retries = 2) ?(reset = true) fx rm (p : Program.
               p.Program.po_cells))
     with Pool_dry l -> Out_of_spares l
   in
+  (* verify traffic reaches the shared counters once per run *)
+  if !verify_reads > 0 then Metrics.incr ~by:!verify_reads m_verify_reads;
+  if !detections > 0 then Metrics.incr ~by:!detections m_detections;
   ( outcome,
     { verify_reads = !verify_reads;
       detections = !detections;

@@ -9,6 +9,8 @@ type t = {
   stuck : Bytes.t;
   spec : Fault_model.spec;
   rng : Splitmix.t;               (* transient draws only *)
+  fixed_p : bool;                 (* no growth: the transient probability ... *)
+  p0 : float;                     (* ... is this constant, computed once *)
   injected : int;
   mutable num_stuck : int;
   mutable absorbed : int;
@@ -38,6 +40,8 @@ let create ?(spec = Fault_model.none) ?(faults = []) base =
     stuck;
     spec;
     rng = Splitmix.create (spec.Fault_model.seed lxor 0x7F4A7C15);
+    fixed_p = spec.Fault_model.transient_growth = 0.0;
+    p0 = Fault_model.transient_probability spec ~writes:0;
     injected = !injected;
     num_stuck = !injected;
     absorbed = 0;
@@ -54,11 +58,11 @@ let stuck_at t i =
   | _ -> Some true
 
 let read t i =
-  match stuck_at t i with
-  | Some v ->
+  match Bytes.get t.stuck i with
+  | '\000' -> Crossbar.read t.base i
+  | c ->
     ignore (Crossbar.read t.base i);  (* the sense amp still fires *)
-    v
-  | None -> Crossbar.read t.base i
+    c = '\002'
 
 let peek t i =
   match stuck_at t i with Some v -> v | None -> Crossbar.peek t.base i
@@ -78,13 +82,16 @@ let absorb t i =
   Metrics.incr m_absorbed;
   if Trace.enabled () then Trace.emit "fault.absorbed_write" ~args:[ ("cell", Int i) ]
 
-(* Whether the next write pulse on a cell with [writes] prior writes fails.
-   Draws from the rng only when the probability is non-zero, so a fault-free
-   wrapper consumes no randomness and stays bit-identical to the bare
-   crossbar. *)
-let transient_fires t ~writes =
-  let p = Fault_model.transient_probability t.spec ~writes in
-  p > 0.0 && Splitmix.float t.rng < p
+(* Whether the next write pulse on cell [i] fails.  Draws from the rng
+   only when the probability is non-zero, so a fault-free wrapper consumes
+   no randomness and stays bit-identical to the bare crossbar.  Without
+   growth the probability does not depend on the cell's write count. *)
+let transient_fires t i =
+  let p =
+    if t.fixed_p then t.p0
+    else Fault_model.transient_probability t.spec ~writes:(Crossbar.writes t.base i)
+  in
+  p > 0.0 && Splitmix.below t.rng p
 
 let note_transient t i =
   t.transients <- t.transients + 1;
@@ -92,11 +99,9 @@ let note_transient t i =
   if Trace.enabled () then Trace.emit "fault.transient" ~args:[ ("cell", Int i) ]
 
 let write t i b =
-  match stuck_at t i with
-  | Some _ -> absorb t i
-  | None ->
-    let writes = Crossbar.writes t.base i in
-    if transient_fires t ~writes then begin
+  if Bytes.get t.stuck i <> '\000' then absorb t i
+  else begin
+    if transient_fires t i then begin
       let prev = Crossbar.peek t.base i in
       if prev <> b then note_transient t i;
       (* the pulse wears the cell but the state does not switch *)
@@ -104,13 +109,12 @@ let write t i b =
     end
     else Crossbar.write t.base i b;
     if Crossbar.failed t.base i then mark_worn t i
+  end
 
 let rm3 t ~p ~q i =
-  match stuck_at t i with
-  | Some _ -> absorb t i
-  | None ->
-    let writes = Crossbar.writes t.base i in
-    if transient_fires t ~writes then begin
+  if Bytes.get t.stuck i <> '\000' then absorb t i
+  else begin
+    if transient_fires t i then begin
       let prev = Crossbar.peek t.base i in
       let intended = Plim_isa.Instruction.semantics ~a:p ~b:q ~z:prev in
       if prev <> intended then note_transient t i;
@@ -118,21 +122,23 @@ let rm3 t ~p ~q i =
     end
     else Crossbar.rm3 t.base ~p ~q i;
     if Crossbar.failed t.base i then mark_worn t i
+  end
 
 let load t i b =
-  match stuck_at t i with
-  | Some _ -> absorb t i
-  | None ->
-    (match Crossbar.load t.base i b with
+  if Bytes.get t.stuck i <> '\000' then absorb t i
+  else
+    match Crossbar.load t.base i b with
     | () -> ()
     | exception Crossbar.Cell_failed _ ->
       (* the wrapped crossbar was already worn before wrapping *)
       mark_worn t i;
-      absorb t i)
+      absorb t i
 
 let set_observer t obs = Crossbar.set_observer t.base obs
 
 let wear_counts t = Crossbar.write_counts t.base
+
+let rng t = t.rng
 
 let injected t = t.injected
 

@@ -67,6 +67,10 @@ val stuck_at : t -> int -> bool option
     this through write-verify): [Some v] if the cell is permanently stuck
     at [v]. *)
 
+val rng : t -> Plim_util.Splitmix.t
+(** The live stream transient decisions draw from (a reproducibility
+    hook: its next draw is the one the next transient decision uses). *)
+
 val injected : t -> int
 (** Permanently faulty cells present at creation. *)
 

@@ -192,6 +192,7 @@ let compile ?(strategy = Alloc.Lifo) g =
 
 let run p ~inputs =
   let xbar = Crossbar.create p.num_cells in
+  Crossbar.publishing xbar @@ fun () ->
   Array.iter
     (fun (name, cell) ->
       match List.assoc_opt name inputs with

@@ -130,8 +130,6 @@ let execute_mapped (p : Program.t) xbar rng ~map ~on_write =
       on_write instr.I.z)
     p.Program.instrs
 
-let total_writes xbar = Array.fold_left ( + ) 0 (Crossbar.write_counts xbar)
-
 let campaign ?(seed = 0xCAFE) ?(max_executions = 100_000) ?sample_every ?geometry
     ~physical_cells ~map ~on_write ~endurance p =
   Obs.span "campaign" @@ fun () ->
@@ -149,7 +147,7 @@ let campaign ?(seed = 0xCAFE) ?(max_executions = 100_000) ?sample_every ?geometr
     Crossbar.set_observer xbar None;
     { executions_completed = completed;
       failed;
-      write_total = total_writes xbar;
+      write_total = Crossbar.total_writes xbar;
       trajectory = finish_trajectory sm completed;
       group_latency }
   in
@@ -164,7 +162,7 @@ let campaign ?(seed = 0xCAFE) ?(max_executions = 100_000) ?sample_every ?geometr
         go completed
       | exception Crossbar.Cell_failed _ -> finish completed true
   in
-  go 0
+  Crossbar.publishing xbar (fun () -> go 0)
 
 let run_until_failure ?seed ?max_executions ?sample_every ?geometry ~endurance p =
   campaign ?seed ?max_executions ?sample_every ?geometry
@@ -285,7 +283,7 @@ let run_degraded ?(seed = 0xCAFE) ?(max_executions = 100) ?sample_every ?enduran
     final_capacity = Faulty.capacity fx;
     spares_remaining = Remap.spares_left rm;
     curve = List.rev !curve;
-    degraded_write_total = total_writes xbar;
+    degraded_write_total = Crossbar.total_writes xbar;
     ended;
     trajectory = finish_trajectory sm executions;
     final_wear = Faulty.wear_counts fx }

@@ -33,6 +33,7 @@ let run ?endurance ?on_step (p : Program.t) ~inputs =
   Metrics.incr m_runs;
   Metrics.incr ~by:(Array.length p.Program.instrs) m_instructions;
   let xbar = Crossbar.create ?endurance p.Program.num_cells in
+  Crossbar.publishing xbar @@ fun () ->
   (* load primary inputs *)
   let bound = Hashtbl.create 16 in
   List.iter
@@ -106,6 +107,7 @@ let run_grouped ?endurance ~geometry (p : Program.t) ~inputs =
     Metrics.incr m_runs;
     Metrics.incr ~by:(Array.length p.Program.instrs) m_instructions;
     let xbar = Crossbar.create ?endurance p.Program.num_cells in
+    Crossbar.publishing xbar @@ fun () ->
     let bound = Hashtbl.create 16 in
     List.iter
       (fun (name, v) ->
@@ -174,6 +176,7 @@ let run_self_hosted ?endurance (p : Program.t) ~inputs =
   let footprint = Encoding.footprint p in
   let per_instr = Encoding.instruction_bits ~num_cells:data_cells in
   let xbar = Crossbar.create ?endurance footprint.Encoding.total_cells in
+  Crossbar.publishing xbar @@ fun () ->
   (* provision the program into the high region of the array *)
   let program_bits = Encoding.encode_program p in
   Array.iteri (fun i bit -> Crossbar.load xbar (data_cells + i) bit) program_bits;

@@ -1,32 +1,50 @@
-let pp_operand buf s =
-  if Mig.is_complemented s then Buffer.add_char buf '~';
-  Buffer.add_string buf (string_of_int (Mig.node_of s))
+type sink = { char : char -> unit; string : string -> unit; int : int -> unit }
 
-let to_string g =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "mig\n";
+(* The one [.mig] text emitter: [to_string] drives it into a buffer, the
+   serve cache into a streaming hash. *)
+let emit sink g =
+  let operand s =
+    if Mig.is_complemented s then sink.char '~';
+    sink.int (Mig.node_of s)
+  in
+  sink.string "mig\n";
   Array.iteri
     (fun pi name ->
-      Buffer.add_string buf
-        (Printf.sprintf ".input %d %s\n" (Mig.node_of (Mig.input_signal g pi)) name))
+      sink.string ".input ";
+      sink.int (Mig.node_of (Mig.input_signal g pi));
+      sink.char ' ';
+      sink.string name;
+      sink.char '\n')
     (Mig.input_names g);
   Mig.iter_reachable_maj g (fun id ->
       match Mig.kind g id with
       | Mig.Maj (a, b, c) ->
-        Buffer.add_string buf (Printf.sprintf ".node %d " id);
-        pp_operand buf a;
-        Buffer.add_char buf ' ';
-        pp_operand buf b;
-        Buffer.add_char buf ' ';
-        pp_operand buf c;
-        Buffer.add_char buf '\n'
+        sink.string ".node ";
+        sink.int id;
+        sink.char ' ';
+        operand a;
+        sink.char ' ';
+        operand b;
+        sink.char ' ';
+        operand c;
+        sink.char '\n'
       | Mig.Const | Mig.Input _ -> assert false);
   Array.iter
     (fun (name, s) ->
-      Buffer.add_string buf (Printf.sprintf ".output %s " name);
-      pp_operand buf s;
-      Buffer.add_char buf '\n')
-    (Mig.outputs g);
+      sink.string ".output ";
+      sink.string name;
+      sink.char ' ';
+      operand s;
+      sink.char '\n')
+    (Mig.outputs g)
+
+let to_string g =
+  let buf = Buffer.create 4096 in
+  emit
+    { char = Buffer.add_char buf;
+      string = Buffer.add_string buf;
+      int = (fun n -> Buffer.add_string buf (string_of_int n)) }
+    g;
   Buffer.contents buf
 
 let fail line msg = failwith (Printf.sprintf "Mig_io.of_string: line %d: %s" line msg)

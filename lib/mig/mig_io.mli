@@ -18,6 +18,14 @@ val to_string : Mig.t -> string
     Node operands are node ids, [~] marks a complemented edge, and id 0 is
     the constant false. *)
 
+type sink = { char : char -> unit; string : string -> unit; int : int -> unit }
+(** Where {!emit} sends the text: characters, strings, and integers in
+    decimal. *)
+
+val emit : sink -> Mig.t -> unit
+(** The [.mig] printer itself: produce exactly the text of {!to_string}
+    into [sink], without building it — e.g. into a streaming hash. *)
+
 val of_string : string -> Mig.t
 (** Parse the [.mig] format.
     @raise Failure on malformed input (with a line number). *)

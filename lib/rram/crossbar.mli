@@ -8,6 +8,13 @@
     endurance budget after which a cell hard-fails (stuck at its last
     value).
 
+    Device traffic (reads, counted writes, loads) is tallied in plain
+    per-crossbar fields and reaches the process-wide [crossbar.reads],
+    [crossbar.writes] and [crossbar.loads] counters only through
+    {!publishing}, which every driver wraps around each run (normal or
+    exceptional exit): a simulated cell access never touches a shared
+    atomic.  [crossbar.cell_failures] is published as it happens.
+
     Two write-counting conventions are exposed:
     - [writes]: every write *operation* applied to the cell (the paper's
       metric: each executed RM3 instruction writes its destination once);
@@ -57,8 +64,18 @@ val set_observer : t -> (cell:int -> writes:int -> unit) option -> unit
     telemetry samplers use it to snapshot wear without polling
     {!write_counts} on hot paths.  [load] (uncounted) never fires it. *)
 
+val publishing : t -> (unit -> 'a) -> 'a
+(** [publishing t f] runs [f ()], then adds the reads, writes and loads
+    counted since the previous publication to the [crossbar.*] metrics
+    counters and restarts the tally — also when [f] raises (e.g.
+    {!Cell_failed}).  Every driver wraps each run in it. *)
+
 val writes : t -> int -> int
 val write_counts : t -> int array
+
+val total_writes : t -> int
+(** Sum of {!write_counts}, without copying the array. *)
+
 val transitions : t -> int -> int
 val transition_counts : t -> int array
 val failed : t -> int -> bool

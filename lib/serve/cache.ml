@@ -14,7 +14,14 @@ type t = {
 let m_hits = Metrics.counter "serve.cache_hits"
 let m_misses = Metrics.counter "serve.cache_misses"
 
-let digest_of graph = Plim_util.Fnv.digest_string (Mig_io.to_string graph)
+(* Streams the [.mig] text through FNV-1a: the digest of
+   [Mig_io.to_string graph] without building the string. *)
+let digest_of graph =
+  let module Fnv = Plim_util.Fnv in
+  let h = Fnv.start () in
+  Mig_io.emit { Mig_io.char = Fnv.add_char h; string = Fnv.add_string h; int = Fnv.add_int h }
+    graph;
+  Fnv.hex h
 
 let create () = { table = Hashtbl.create 64; hits = 0; misses = 0 }
 

@@ -329,13 +329,11 @@ let run ?pool ?(batch = 32) t requests =
         jobs
     in
     (* Phase 3: sequential placement onto the least-worn eligible active
-       shard.  Wear is read once at batch start (through Wear.skew_of)
-       and advanced by the static footprint of work placed so far, so the
+       shard.  Wear is read once at batch start (each shard's total
+       writes) and advanced by the static footprint of work placed so far, so the
        placement depends only on pre-batch fleet state and batch order. *)
     let fleet_n = Array.length t.fleet in
-    let wear0 =
-      Array.map (fun s -> (Wear.skew_of (Shard.wear_counts s)).Wear.total) t.fleet
-    in
+    let wear0 = Array.map Shard.total_writes t.fleet in
     let extra = Array.make fleet_n 0 in
     let queues = Array.make fleet_n [] in
     List.iter

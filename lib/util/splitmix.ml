@@ -1,17 +1,26 @@
-type t = { mutable state : int64 }
+(* The 64-bit state lives unboxed in 8 bytes: a mutable [int64] record
+   field would allocate a fresh box on every draw. *)
+type t = Bytes.t
 
-let create seed = { state = Int64.of_int seed }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 s;
+  t
 
-let copy t = { state = t.state }
+let create seed = of_state (Int64.of_int seed)
+
+let copy = Bytes.copy
 
 (* splitmix64 from Steele, Lea & Flood, "Fast splittable pseudorandom
    number generators", OOPSLA'14. *)
-let next64 t =
-  t.state <- Int64.add t.state 0x9E3779B97F4A7C15L;
-  let z = t.state in
+let[@inline] step t =
+  let z = Int64.add (Bytes.get_int64_ne t 0) 0x9E3779B97F4A7C15L in
+  Bytes.set_int64_ne t 0 z;
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
+
+let next64 t = step t
 
 let int t bound =
   if bound <= 0 then invalid_arg "Splitmix.int: bound must be positive";
@@ -26,16 +35,19 @@ let int t bound =
   let tail = ((max_int mod bound) + 1) mod bound (* = 2^62 mod bound *) in
   let threshold = max_int - tail in
   let rec draw () =
-    let x = Int64.to_int (Int64.shift_right_logical (next64 t) 2) in
+    let x = Int64.to_int (Int64.shift_right_logical (step t) 2) in
     if x <= threshold then x mod bound else draw ()
   in
   draw ()
 
-let bool t = Int64.logand (next64 t) 1L = 1L
+let bool t = Int64.logand (step t) 1L = 1L
 
-let float t =
-  let x = Int64.to_float (Int64.shift_right_logical (next64 t) 11) in
-  x /. 9007199254740992.0 (* 2^53 *)
+let[@inline] unit_float t =
+  Int64.to_float (Int64.shift_right_logical (step t) 11) /. 9007199254740992.0 (* 2^53 *)
+
+let float t = unit_float t
+
+let below t p = unit_float t < p
 
 let bits t ~width = Array.init width (fun _ -> bool t)
 
@@ -47,8 +59,7 @@ let bits t ~width = Array.init width (fun _ -> bool t)
 let derive root i =
   if i < 0 then invalid_arg "Splitmix.derive: index must be non-negative";
   let t =
-    { state =
-        Int64.add (Int64.of_int root)
-          (Int64.mul (Int64.of_int (i + 1)) 0x9E3779B97F4A7C15L) }
+    of_state
+      (Int64.add (Int64.of_int root) (Int64.mul (Int64.of_int (i + 1)) 0x9E3779B97F4A7C15L))
   in
-  Int64.to_int (Int64.shift_right_logical (next64 t) 2)
+  Int64.to_int (Int64.shift_right_logical (step t) 2)

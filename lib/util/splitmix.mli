@@ -25,6 +25,10 @@ val bool : t -> bool
 val float : t -> float
 (** Uniform in [\[0, 1)]. *)
 
+val below : t -> float -> bool
+(** [below t p] is [float t < p]: the same draw, decided without boxing
+    the float — a Bernoulli trial that allocates nothing. *)
+
 val bits : t -> width:int -> bool array
 (** [bits t ~width] is a uniform bit vector, LSB first. *)
 

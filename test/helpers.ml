@@ -83,3 +83,30 @@ let run_server ?jobs cfg stream =
       Plim_par.with_pool ~jobs (fun pool -> Server.run ~pool server stream)
   in
   (server, responses)
+
+(* --- random ISA-level programs ------------------------------------------ *)
+
+(* A random well-formed program written directly at the ISA level, no
+   compiler involved: 2..12 cells, inputs and outputs bound to arbitrary
+   (possibly shared) cells, up to 40 RM3s over constant and cell operands
+   — including cells read before any write. *)
+let random_program rng =
+  let module Sm = Plim_util.Splitmix in
+  let num_cells = 2 + Sm.int rng 11 in
+  let operand () =
+    if Sm.int rng 4 = 0 then I.Const (Sm.bool rng) else I.Cell (Sm.int rng num_cells)
+  in
+  let instrs =
+    Array.init (Sm.int rng 41) (fun _ ->
+        let a = operand () in
+        let b = operand () in
+        I.rm3 ~a ~b ~z:(Sm.int rng num_cells))
+  in
+  let bind prefix n = Array.init n (fun k -> (Printf.sprintf "%s%d" prefix k, Sm.int rng num_cells)) in
+  let pi_cells = bind "x" (1 + Sm.int rng 4) in
+  let po_cells = bind "y" (1 + Sm.int rng 3) in
+  Program.make ~instrs ~num_cells ~pi_cells ~po_cells
+
+let random_inputs rng (p : Program.t) =
+  Array.to_list
+    (Array.map (fun (name, _) -> (name, Plim_util.Splitmix.bool rng)) p.Program.pi_cells)

@@ -232,6 +232,99 @@ let test_campaign_start_gap_extends_lifetime () =
     true
     (rotated.Campaign.executions_completed >= plain.Campaign.executions_completed)
 
+(* --- reference controller oracle ------------------------------------------- *)
+
+module Splitmix = Plim_util.Splitmix
+module Metrics = Plim_obs.Metrics
+
+(* Plim_controller.run as it was when every crossbar access bumped the
+   shared metrics counters; here each access is tallied locally instead
+   (an access that raises [Cell_failed] is not counted), so the totals the
+   controller now publishes once per run can be checked against it. *)
+let ref_run ?endurance ?on_step (p : Program.t) ~inputs =
+  let reads = ref 0 and writes = ref 0 and loads = ref 0 in
+  let xbar = Crossbar.create ?endurance p.Program.num_cells in
+  let read i =
+    let v = Crossbar.read xbar i in
+    incr reads;
+    v
+  in
+  let result =
+    match
+      Array.iter
+        (fun (name, cell) ->
+          Crossbar.load xbar cell (List.assoc name inputs);
+          incr loads)
+        p.Program.pi_cells;
+      let cycles = ref 0 in
+      let read_operand = function
+        | I.Const v -> v
+        | I.Cell i ->
+          incr cycles;
+          read i
+      in
+      Array.iteri
+        (fun pc (instr : I.t) ->
+          let a = read_operand instr.I.a in
+          let b = read_operand instr.I.b in
+          let z = instr.I.z in
+          let z_before = read z in
+          Crossbar.rm3 xbar ~p:a ~q:b z;
+          incr writes;
+          incr cycles;
+          match on_step with
+          | None -> ()
+          | Some f ->
+            f { Controller.pc; instr; a_value = a; b_value = b; z_before; z_after = read z })
+        p.Program.instrs;
+      let outputs =
+        Array.to_list (Array.map (fun (name, cell) -> (name, read cell)) p.Program.po_cells)
+      in
+      (outputs, { Controller.instructions = Array.length p.Program.instrs; cycles = !cycles })
+    with
+    | r -> Ok r
+    | exception Crossbar.Cell_failed c -> Error c
+  in
+  (result, xbar, [ !reads; !writes; !loads ])
+
+let traffic = [ "crossbar.reads"; "crossbar.writes"; "crossbar.loads" ]
+
+(* random ISA programs, random inputs, with and without an endurance
+   budget small enough to fail a cell mid-run: outputs, stats, the trace,
+   wear, transitions, failed cells and the published traffic all agree *)
+let controller_oracle =
+  QCheck.Test.make ~count:300 ~name:"controller = reference controller" QCheck.int
+    (fun seed ->
+      let rng = Splitmix.create seed in
+      let p = Helpers.random_program rng in
+      let inputs = Helpers.random_inputs rng p in
+      let endurance = if Splitmix.bool rng then None else Some (1 + Splitmix.int rng 6) in
+      let steps = ref [] and ref_steps = ref [] in
+      let before = List.map Metrics.get traffic in
+      let result =
+        match Controller.run ?endurance ~on_step:(fun s -> steps := s :: !steps) p ~inputs with
+        | outputs, xbar, stats -> Ok (outputs, stats, xbar)
+        | exception Crossbar.Cell_failed c -> Error c
+      in
+      let published = List.map2 (fun n b -> Metrics.get n - b) traffic before in
+      let expected, rxbar, tally =
+        ref_run ?endurance ~on_step:(fun s -> ref_steps := s :: !ref_steps) p ~inputs
+      in
+      let fail what = QCheck.Test.fail_reportf "seed %d: %s" seed what in
+      if published <> tally then fail "published crossbar traffic";
+      if !steps <> !ref_steps then fail "trace";
+      (match (result, expected) with
+      | Ok (outputs, stats, xbar), Ok (routputs, rstats) ->
+        if outputs <> routputs then fail "outputs";
+        if stats <> rstats then fail "run stats";
+        if Crossbar.write_counts xbar <> Crossbar.write_counts rxbar then fail "wear";
+        if Crossbar.transition_counts xbar <> Crossbar.transition_counts rxbar then
+          fail "transitions";
+        if Crossbar.num_failed xbar <> Crossbar.num_failed rxbar then fail "failed cells"
+      | Error c, Error rc -> if c <> rc then fail "failing cell"
+      | _ -> fail "one run failed, the other did not");
+      true)
+
 let () =
   Alcotest.run "machine"
     [ ( "controller",
@@ -244,7 +337,8 @@ let () =
           Alcotest.test_case "trace callback" `Quick test_trace;
           Alcotest.test_case "input binding errors" `Quick test_input_binding_errors;
           Alcotest.test_case "run_vector" `Quick test_run_vector;
-          Alcotest.test_case "endurance mid-run" `Quick test_endurance_mid_run ] );
+          Alcotest.test_case "endurance mid-run" `Quick test_endurance_mid_run;
+          QCheck_alcotest.to_alcotest controller_oracle ] );
       ( "self-hosted",
         [ Alcotest.test_case "matches direct run" `Quick test_self_hosted_matches_direct;
           Alcotest.test_case "cycle model" `Quick test_self_hosted_cycle_model;

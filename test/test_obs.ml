@@ -398,12 +398,115 @@ let test_totals_sorted_by_name () =
   check_int "alpha merged calls" 2 calls;
   Profile.reset ()
 
+(* --- published counter totals ------------------------------------------ *)
+
+module Campaign = Plim_machine.Campaign
+module Fault_model = Plim_fault.Fault_model
+module Server = Plim_serve.Server
+module Workload = Plim_serve.Workload
+
+(* Every non-zero crossbar/fault/machine/campaign/serve counter after one
+   driver run, as "name=value" pairs. *)
+let driver_counters () =
+  let prefixes = [ "crossbar."; "fault."; "machine."; "campaign."; "serve." ] in
+  Metrics.snapshot ()
+  |> List.filter_map (fun (name, v) ->
+         match v with
+         | Metrics.Counter n
+           when n <> 0 && List.exists (fun prefix -> String.starts_with ~prefix name) prefixes ->
+           Some (Printf.sprintf "%s=%d" name n)
+         | _ -> None)
+  |> String.concat " "
+
+(* One run of each crossbar driver — serve with faults, retries, remaps
+   and retirements; a degraded campaign; an IMPLY program; self-hosted,
+   grouped and worn-out controller runs; plain and leveled wear campaigns
+   that end on a failed cell — and the counter totals each left behind,
+   recorded when every cell access still bumped the shared counters
+   directly.  Publishing once per run must add up to the same totals. *)
+let driver_scenarios =
+  let adder4 () = Lazy.force Helpers.adder4 in
+  [ ( "serve",
+      fun () ->
+        let cfg =
+          { Helpers.quiet_config with
+            Server.cell_spares = 2;
+            endurance = Some 400;
+            fault_spec =
+              Fault_model.make ~sa0:0.01 ~sa1:0.005 ~transient:1e-3 ~transient_growth:1e-5
+                ~seed:21 () }
+        in
+        ignore (Helpers.run_server cfg (Workload.generate ~seed:3 ~requests:150 Helpers.mix4)) );
+    ( "degraded",
+      fun () ->
+        let p, _, _ = adder4 () in
+        ignore
+          (Campaign.run_degraded ~max_executions:30 ~endurance:60 ~spares:3
+             ~fault_spec:(Fault_model.make ~sa0:0.02 ~transient:0.01 ~seed:4 ())
+             p) );
+    ( "imp",
+      fun () ->
+        let ip = Plim_imp.Imp.compile (Plim_benchgen.Arith.adder ~width:4) in
+        let inputs =
+          Array.to_list
+            (Array.mapi (fun i (n, _) -> (n, i mod 2 = 0)) ip.Plim_imp.Imp.pi_cells)
+        in
+        ignore (Plim_imp.Imp.run ip ~inputs) );
+    ( "self-hosted",
+      fun () ->
+        let p, inputs, _ = adder4 () in
+        ignore (Controller.run_self_hosted p ~inputs) );
+    ( "until-failure",
+      fun () ->
+        let p, _, _ = adder4 () in
+        ignore (Campaign.run_until_failure ~max_executions:1000 ~endurance:30 p) );
+    ( "sg+wolfram",
+      fun () ->
+        let p, _, _ = adder4 () in
+        ignore (Campaign.run_with_start_gap_wolfram ~max_executions:200 ~endurance:40 p) );
+    ( "cell-failed",
+      fun () ->
+        let p, inputs, _ = adder4 () in
+        match Controller.run ~endurance:2 p ~inputs with
+        | _ -> Alcotest.fail "expected a cell failure"
+        | exception Plim_rram.Crossbar.Cell_failed _ -> () );
+    ( "grouped",
+      fun () ->
+        let p, inputs, _ = adder4 () in
+        let geometry = Plim_geometry.grid_for ~cols:8 ~num_cells:(Program.num_cells p) in
+        match Controller.run_grouped ~geometry p ~inputs with
+        | Ok _ -> ()
+        | Error e -> Alcotest.fail e ) ]
+
+let pinned_driver_counters =
+  [ ("serve", "crossbar.cell_failures=8 crossbar.loads=9101 crossbar.reads=242644 crossbar.writes=97876 fault.absorbed_writes=42 fault.detections=12 fault.injected=2 fault.remaps=7 fault.transient_failures=31 fault.verify_reads=56015 fault.worn_stuck=8 machine.instructions=48593 machine.runs=141 serve.cache_hits=150 serve.cache_misses=4 serve.requests=154 serve.reruns=5 serve.retired_shards=3");
+    ("degraded", "campaign.degraded_runs=1 campaign.executions=20 crossbar.cell_failures=5 crossbar.loads=371 crossbar.reads=2094 crossbar.writes=517 fault.absorbed_writes=23 fault.detections=4 fault.remaps=3 fault.verify_reads=911 fault.worn_stuck=5");
+    ("imp", "crossbar.loads=8 crossbar.reads=99 crossbar.writes=140");
+    ("self-hosted", "crossbar.loads=372 crossbar.reads=397 crossbar.writes=26 machine.instructions=26 machine.runs=1");
+    ("until-failure", "campaign.executions=6 campaign.runs=1 crossbar.cell_failures=1 crossbar.loads=48 crossbar.reads=168 crossbar.writes=156");
+    ("sg+wolfram", "campaign.executions=8 campaign.runs=1 crossbar.cell_failures=1 crossbar.loads=64 crossbar.reads=224 crossbar.writes=210");
+    ("cell-failed", "crossbar.cell_failures=1 crossbar.loads=8 crossbar.reads=5 crossbar.writes=2 machine.instructions=26 machine.runs=1");
+    ("grouped", "crossbar.loads=8 crossbar.reads=33 crossbar.writes=26 machine.instructions=26 machine.runs=1") ]
+
+let test_driver_counters_pinned () =
+  (* the shared fixture runs the controller once when first forced *)
+  ignore (Lazy.force Helpers.adder4);
+  List.iter
+    (fun (name, run) ->
+      Metrics.reset ();
+      run ();
+      Alcotest.(check string) name (List.assoc name pinned_driver_counters)
+        (driver_counters ()))
+    driver_scenarios;
+  Metrics.reset ()
+
 let () =
   Alcotest.run "obs"
     [ ( "metrics",
         [ Alcotest.test_case "basics" `Quick test_metrics_basics;
           Alcotest.test_case "compile counters" `Quick test_compile_counters;
-          Alcotest.test_case "cap retires counted" `Quick test_cap_retires_counted ] );
+          Alcotest.test_case "cap retires counted" `Quick test_cap_retires_counted;
+          Alcotest.test_case "driver counters pinned" `Quick test_driver_counters_pinned ] );
       ( "trace",
         [ Alcotest.test_case "memory sink order" `Quick test_memory_sink_event_order;
           Alcotest.test_case "null sink identical" `Quick test_null_sink_identical;

@@ -128,6 +128,43 @@ let test_cache_digest_stability () =
   check_bool "different graphs, different digests" true
     (Cache.digest_of g <> Cache.digest_of g2)
 
+(* digest_of streams the .mig text through FNV-1a; these are the digests
+   of the small suite recorded when it still hashed the printed string *)
+let pinned_small_suite_digests =
+  [ ("adder8", "c196e81af7524b14");
+    ("bar8", "58ea43e8892bd81d");
+    ("div8", "613576cb4e41180c");
+    ("max8", "6dc99d8c41c77f69");
+    ("multiplier8", "e391fba8f2e71777");
+    ("sqrt8", "7c31047169aa2e40");
+    ("square8", "0f335e46dcded576");
+    ("dec4", "7031d9bf31a8ee61");
+    ("priority16", "4d1e4745efff6cf9");
+    ("voter15", "9fa6491d063ba16f");
+    ("rc_small", "fb2a4476cb2ca782") ]
+
+let text_digest g = Plim_util.Fnv.digest_string (Plim_mig.Mig_io.to_string g)
+
+let test_cache_digest_pinned () =
+  List.iter
+    (fun s ->
+      Alcotest.(check string) s.Suite.name
+        (List.assoc s.Suite.name pinned_small_suite_digests)
+        (Cache.digest_of (Suite.build_cached s)))
+    Suite.small_suite;
+  List.iter
+    (fun s ->
+      let g = Suite.build_cached s in
+      Alcotest.(check string) s.Suite.name (text_digest g) (Cache.digest_of g))
+    (Suite.all @ Suite.small_suite)
+
+let digest_streams_text =
+  QCheck.Test.make ~count:200 ~name:"digest_of = digest of the .mig text"
+    (Plim_check.Gen.arbitrary ())
+    (fun d ->
+      let g = Plim_check.Gen.to_mig d in
+      Cache.digest_of g = text_digest g)
+
 (* --- server ---------------------------------------------------------- *)
 
 let quiet_config = Helpers.quiet_config
@@ -305,7 +342,9 @@ let () =
           Alcotest.test_case "warm-up compiles first" `Quick test_generate_warmup_first;
           Alcotest.test_case "hot/cold input skew" `Quick test_hot_cold_skew ] );
       ( "cache",
-        [ Alcotest.test_case "digest stability" `Quick test_cache_digest_stability ] );
+        [ Alcotest.test_case "digest stability" `Quick test_cache_digest_stability;
+          Alcotest.test_case "digest pinned" `Quick test_cache_digest_pinned;
+          QCheck_alcotest.to_alcotest digest_streams_text ] );
       ( "server",
         [ Alcotest.test_case "end to end" `Quick test_server_end_to_end;
           Alcotest.test_case "warm replay hits" `Quick test_server_warmup_then_hits;

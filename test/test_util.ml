@@ -105,6 +105,43 @@ let test_fnv_int64_consistent () =
   Alcotest.(check string) "hex of int64" "85944171f73967e8"
     (Printf.sprintf "%016Lx" (Plim_util.Fnv.digest_int64 "foobar"))
 
+(* the streaming hash agrees with the one-shot digest, byte for byte and
+   for decimal integers fed by [add_int] *)
+let fnv_streaming =
+  QCheck.Test.make ~count:300 ~name:"fnv streaming = one-shot"
+    QCheck.(triple string int string)
+    (fun (a, n, b) ->
+      let module Fnv = Plim_util.Fnv in
+      let h = Fnv.start () in
+      Fnv.add_string h a;
+      Fnv.add_int h n;
+      String.iter (Fnv.add_char h) b;
+      let expected = Fnv.digest_string (a ^ string_of_int n ^ b) in
+      let extremes = Fnv.start () in
+      List.iter (Fnv.add_int extremes) [ 0; 9; 10; -1; min_int; max_int ];
+      Fnv.hex h = expected
+      && Fnv.hex extremes
+         = Fnv.digest_string
+             (String.concat "" (List.map string_of_int [ 0; 9; 10; -1; min_int; max_int ])))
+
+let test_splitmix_known_stream () =
+  (* values recorded from the boxed-state generator: the unboxed state
+     must reproduce every seed-pinned stream *)
+  let rng = Splitmix.create 99 in
+  Alcotest.(check int64) "next64" 4824385676517010403L (Splitmix.next64 rng);
+  Alcotest.(check (float 0.0)) "float" 0x1.03572310f3adp-5 (Splitmix.float rng);
+  check_int "int" 406 (Splitmix.int rng 1000);
+  check_bool "bool" true (Splitmix.bool rng);
+  check_int "derive" 175383196535490812 (Splitmix.derive 42 3)
+
+let splitmix_below =
+  QCheck.Test.make ~count:200 ~name:"splitmix below = float <"
+    QCheck.(pair small_int (float_range 0.0 1.0))
+    (fun (seed, p) ->
+      let a = Splitmix.create seed and b = Splitmix.create seed in
+      List.for_all (fun _ -> Splitmix.below a p = (Splitmix.float b < p)) (List.init 50 Fun.id)
+      && Splitmix.next64 a = Splitmix.next64 b)
+
 let test_splitmix_bits () =
   let rng = Splitmix.create 4 in
   check_int "bits width" 17 (Array.length (Splitmix.bits rng ~width:17))
@@ -428,7 +465,8 @@ let () =
         [ Alcotest.test_case "known vectors" `Quick test_fnv_known_vectors;
           Alcotest.test_case "distinct digests" `Quick test_fnv_distinct;
           Alcotest.test_case "int64/string consistency" `Quick
-            test_fnv_int64_consistent ] );
+            test_fnv_int64_consistent;
+          qc fnv_streaming ] );
       ( "splitmix",
         [ Alcotest.test_case "deterministic" `Quick test_splitmix_deterministic;
           Alcotest.test_case "copy" `Quick test_splitmix_copy;
@@ -436,7 +474,9 @@ let () =
           Alcotest.test_case "bits" `Quick test_splitmix_bits;
           Alcotest.test_case "int uniformity" `Quick test_splitmix_int_uniform;
           Alcotest.test_case "derive" `Quick test_splitmix_derive;
-          qc splitmix_int_bounds ] );
+          Alcotest.test_case "known stream" `Quick test_splitmix_known_stream;
+          qc splitmix_int_bounds;
+          qc splitmix_below ] );
       ( "lazy-heap",
         [ Alcotest.test_case "ordering" `Quick test_heap_ordering;
           Alcotest.test_case "rekey" `Quick test_heap_rekey;
